@@ -18,7 +18,7 @@
 
 use std::time::Duration;
 
-use criterion::Criterion;
+use criterion::{BenchmarkGroup, Criterion};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use zfgan_bench::{emit_bench, fmt_x, BenchRow, TextTable};
@@ -29,8 +29,7 @@ use zfgan_tensor::im2col::{im2col_s, weights_as_matrix_s, Matrix};
 use zfgan_tensor::microkernel::{
     choose_path, matmul_f32_path, simd_label, simd_level, GemmPath, PackScratch,
 };
-use zfgan_tensor::zero_free::t_conv_zero_free;
-use zfgan_tensor::{t_conv, ConvBackend, ConvGeom, Fmaps, Fx, Kernels};
+use zfgan_tensor::{t_conv, ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Fx, Kernels, Num};
 use zfgan_workloads::GanSpec;
 
 /// MNIST-GAN layer 2 (Table IV): 64 → 128 maps, 14×14 → 7×7, 5×5, stride 2.
@@ -42,6 +41,25 @@ fn mnist_layer2() -> ConvGeom {
 /// sparsity the zero-skipping GEMM exploits.
 fn relu_like(c: usize, h: usize, w: usize, rng: &mut SmallRng) -> Fmaps<f32> {
     Fmaps::random(c, h, w, 1.0, rng).map(|v| if v > 0.0 { v } else { 0.0 })
+}
+
+/// Times `kind` on `a × b` through one held workspace, giving every
+/// product back, so the packed kernels run on warm pack scratch the way
+/// the conv hot path does.
+fn bench_kind<T: Num>(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    kind: MatmulKind,
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+) {
+    let mut ws = ConvWorkspace::new();
+    group.bench_function(name, |bch| {
+        bch.iter(|| {
+            let product = kind.run_ws(a, b, &mut ws).expect("conforming operands");
+            ws.give_matrix(product);
+        })
+    });
 }
 
 /// Naive vs blocked vs parallel kernels on the lowered MNIST-GAN S-CONV:
@@ -61,9 +79,7 @@ fn bench_matmul_kinds(c: &mut Criterion) {
         ("parallel2", MatmulKind::Parallel(2)),
         ("parallel4", MatmulKind::Parallel(4)),
     ] {
-        group.bench_function(name, |bch| {
-            bch.iter(|| kind.run(&a, &b).expect("conforming operands"))
-        });
+        bench_kind(&mut group, name, kind, &a, &b);
     }
     group.finish();
 
@@ -83,9 +99,7 @@ fn bench_matmul_kinds(c: &mut Criterion) {
         ("naive", MatmulKind::Naive),
         ("blocked", MatmulKind::Blocked),
     ] {
-        group.bench_function(name, |bch| {
-            bch.iter(|| kind.run(&ab, &b).expect("conforming operands"))
-        });
+        bench_kind(&mut group, name, kind, &ab, &b);
     }
     group.finish();
 
@@ -106,9 +120,7 @@ fn bench_matmul_kinds(c: &mut Criterion) {
         ("naive", MatmulKind::Naive),
         ("blocked", MatmulKind::Blocked),
     ] {
-        group.bench_function(name, |bch| {
-            bch.iter(|| kind.run(&afx, &bfx).expect("conforming operands"))
-        });
+        bench_kind(&mut group, name, kind, &afx, &bfx);
     }
     group.finish();
 }
@@ -223,7 +235,9 @@ fn bench_t_conv_lowering(c: &mut Criterion) {
     });
     group.bench_function("zero_free", |bch| {
         bch.iter(|| {
-            t_conv_zero_free(&input, &k, &geom, MatmulKind::Blocked).expect("conforming operands")
+            ConvBackend::LoweredZeroFree
+                .t_conv(&input, &k, &geom)
+                .expect("conforming operands")
         })
     });
     group.finish();

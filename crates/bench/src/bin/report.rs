@@ -3,7 +3,9 @@
 //! written `EXPERIMENTS.md`.
 //!
 //! Run the individual experiment binaries first (or `scripts/run_all.sh`);
-//! this binary only aggregates what exists.
+//! this binary only aggregates what exists. The wall-clock
+//! `telemetry_*.json` sidecars some binaries drop next to their results are
+//! skipped: they change from run to run and would make the digest do so.
 
 use std::fs;
 use std::path::Path;
@@ -23,6 +25,9 @@ fn main() {
                     .and_then(|s| s.to_str())
                     .unwrap_or("unknown")
                     .to_string();
+                if name.starts_with("telemetry_") {
+                    continue;
+                }
                 match fs::read_to_string(&path)
                     .ok()
                     .and_then(|s| serde_json::from_str::<serde_json::Value>(&s).ok())

@@ -80,23 +80,8 @@ impl Activation {
         }
     }
 
-    /// Applies the activation to every element of a feature-map tensor.
-    pub fn apply(self, pre: &Fmaps<f32>) -> Fmaps<f32> {
-        pre.map(|v| self.apply_scalar(v))
-    }
-
-    /// The `∘ σ'` step of paper Eq. (3): multiplies the incoming error by
-    /// the activation derivative evaluated at the cached pre-activations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two tensors have different shapes.
-    pub fn backprop(self, delta_post: &Fmaps<f32>, pre: &Fmaps<f32>) -> Fmaps<f32> {
-        delta_post.hadamard(&pre.map(|v| self.derivative_scalar(v)))
-    }
-
-    /// [`Activation::apply`] writing into a caller-provided tensor instead
-    /// of allocating one. Bit-identical; overwrites every element of `out`.
+    /// Applies the activation to every element of `pre`, writing into a
+    /// caller-provided tensor. Overwrites every element of `out`.
     ///
     /// # Panics
     ///
@@ -108,9 +93,10 @@ impl Activation {
         }
     }
 
-    /// [`Activation::backprop`] writing into a caller-provided tensor
-    /// instead of allocating one. Bit-identical (same per-element
-    /// `delta · σ'(pre)` product); overwrites every element of `out`.
+    /// The `∘ σ'` step of paper Eq. (3): multiplies the incoming error by
+    /// the activation derivative evaluated at the cached pre-activations,
+    /// writing the per-element `delta · σ'(pre)` product into a
+    /// caller-provided tensor. Overwrites every element of `out`.
     ///
     /// # Panics
     ///
@@ -171,13 +157,16 @@ mod tests {
     fn tensor_apply_and_backprop() {
         let pre = Fmaps::from_vec(1, 1, 3, vec![-1.0f32, 0.0, 2.0]);
         let a = Activation::LeakyRelu { alpha: 0.5 };
-        assert_eq!(a.apply(&pre).as_slice(), &[-0.5, 0.0, 2.0]);
+        let mut out = Fmaps::zeros(1, 1, 3);
+        a.apply_into(&pre, &mut out);
+        assert_eq!(out.as_slice(), &[-0.5, 0.0, 2.0]);
         let delta = Fmaps::from_vec(1, 1, 3, vec![1.0f32, 1.0, 1.0]);
-        assert_eq!(a.backprop(&delta, &pre).as_slice(), &[0.5, 1.0, 1.0]);
+        a.backprop_into(&delta, &pre, &mut out);
+        assert_eq!(out.as_slice(), &[0.5, 1.0, 1.0]);
     }
 
     #[test]
-    fn into_variants_match_the_allocating_ones() {
+    fn into_variants_match_the_elementwise_definition() {
         let pre = Fmaps::from_vec(1, 1, 4, vec![-2.0f32, -0.1, 0.0, 1.5]);
         let delta = Fmaps::from_vec(1, 1, 4, vec![0.5f32, -3.0, 2.0, 1.0]);
         for a in [
@@ -188,9 +177,10 @@ mod tests {
         ] {
             let mut out = Fmaps::zeros(1, 1, 4);
             a.apply_into(&pre, &mut out);
-            assert_eq!(out, a.apply(&pre), "{a:?} apply");
+            assert_eq!(out, pre.map(|v| a.apply_scalar(v)), "{a:?} apply");
             a.backprop_into(&delta, &pre, &mut out);
-            assert_eq!(out, a.backprop(&delta, &pre), "{a:?} backprop");
+            let deriv = pre.map(|v| a.derivative_scalar(v));
+            assert_eq!(out, delta.hadamard(&deriv), "{a:?} backprop");
         }
     }
 

@@ -217,41 +217,20 @@ impl ConvLayer {
         }
     }
 
-    /// Forward pass: returns `(pre_activation, post_activation)`.
+    /// Forward pass: returns `(pre_activation, post_activation)`. Runs
+    /// [`ConvLayer::forward_ws`] on a fresh workspace.
     ///
     /// # Errors
     ///
     /// Returns an error if `input` does not match the layer's input shape.
     pub fn forward(&self, input: &Fmaps<f32>) -> TensorResult<(Fmaps<f32>, Fmaps<f32>)> {
-        if input.shape() != self.in_shape {
-            return Err(ShapeError::new(format!(
-                "layer expects input {:?}, got {:?}",
-                self.in_shape,
-                input.shape()
-            )));
-        }
-        let mut pre = match self.direction {
-            Direction::Down => self.backend.s_conv(input, &self.weights, &self.geom)?,
-            Direction::Up => self.backend.t_conv(input, &self.weights, &self.geom)?,
-        };
-        let (c, h, w) = pre.shape();
-        for ch in 0..c {
-            let b = self.bias[ch];
-            if b != 0.0 {
-                for y in 0..h {
-                    for x in 0..w {
-                        *pre.at_mut(ch, y, x) += b;
-                    }
-                }
-            }
-        }
-        let post = self.activation.apply(&pre);
-        Ok((pre, post))
+        self.forward_ws(input, &mut ConvWorkspace::new())
     }
 
     /// Backward pass (paper Eqs. 3–4): given the error on the layer output
     /// (post-activation) plus the cached forward tensors, returns the error
-    /// on the layer input and this layer's gradients.
+    /// on the layer input and this layer's gradients. Runs
+    /// [`ConvLayer::backward_ws`] on a fresh workspace.
     ///
     /// # Errors
     ///
@@ -263,55 +242,12 @@ impl ConvLayer {
         pre: &Fmaps<f32>,
         input: &Fmaps<f32>,
     ) -> TensorResult<(Fmaps<f32>, LayerGrads)> {
-        let delta_pre = self.activation.backprop(delta_post, pre);
-        let (c, h, w) = delta_pre.shape();
-        let mut bias_grad = vec![0.0f32; c];
-        for (ch, bg) in bias_grad.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for y in 0..h {
-                for x in 0..w {
-                    acc += *delta_pre.at(ch, y, x);
-                }
-            }
-            *bg = acc;
-        }
-        let (delta_in, weight_grad) = match self.direction {
-            Direction::Down => {
-                let (_, ih, iw) = self.in_shape;
-                let dx = self.backend.s_conv_input_grad(
-                    &delta_pre,
-                    &self.weights,
-                    &self.geom,
-                    ih,
-                    iw,
-                )?;
-                let dw = self
-                    .backend
-                    .w_conv_for_s_layer(input, &delta_pre, &self.geom)?;
-                (dx, dw)
-            }
-            Direction::Up => {
-                let dx = self
-                    .backend
-                    .t_conv_input_grad(&delta_pre, &self.weights, &self.geom)?;
-                let dw = self
-                    .backend
-                    .w_conv_for_t_layer(input, &delta_pre, &self.geom)?;
-                (dx, dw)
-            }
-        };
-        Ok((
-            delta_in,
-            LayerGrads {
-                weights: weight_grad,
-                bias: bias_grad,
-            },
-        ))
+        self.backward_ws(delta_post, pre, input, &mut ConvWorkspace::new())
     }
 
     /// [`ConvLayer::forward`] with all transients (conv scratch, the
-    /// pre/post tensors themselves) drawn from the workspace. Bit-identical;
-    /// the returned tensors belong to the caller (recycle them via
+    /// pre/post tensors themselves) drawn from the workspace. The returned
+    /// tensors belong to the caller (recycle them via
     /// [`ConvWorkspace::give_fmaps`] / [`crate::Trace::recycle`]).
     ///
     /// # Errors
@@ -354,8 +290,7 @@ impl ConvLayer {
     }
 
     /// [`ConvLayer::backward`] with all transients drawn from the
-    /// workspace. Bit-identical; the returned error and gradients belong to
-    /// the caller (recycle via [`ConvWorkspace::give_fmaps`] /
+    /// workspace. The returned error and gradients belong to the caller (recycle via [`ConvWorkspace::give_fmaps`] /
     /// [`LayerGrads::recycle`]).
     ///
     /// # Errors

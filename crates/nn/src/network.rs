@@ -202,30 +202,17 @@ impl ConvNet {
     }
 
     /// Forward pass, caching every intermediate tensor for the backward
-    /// pass.
+    /// pass. Runs [`ConvNet::forward_ws`] on a fresh workspace.
     ///
     /// # Errors
     ///
     /// Returns an error if `input` does not match the network's input shape.
     pub fn forward(&self, input: &Fmaps<f32>) -> TensorResult<Trace> {
-        let mut pre = Vec::with_capacity(self.layers.len());
-        let mut post = Vec::with_capacity(self.layers.len());
-        let mut cur = input.clone();
-        for layer in &self.layers {
-            let (p, a) = layer.forward(&cur)?;
-            cur = a.clone();
-            pre.push(p);
-            post.push(a);
-        }
-        Ok(Trace {
-            input: input.clone(),
-            pre,
-            post,
-        })
+        self.forward_ws(input, &mut ConvWorkspace::new())
     }
 
     /// [`ConvNet::forward`] with all transients drawn from the workspace.
-    /// Bit-identical; feeds each layer the cached post-activation directly
+    /// Feeds each layer the cached post-activation directly
     /// (no per-layer clone), so a warm workspace makes the whole pass
     /// allocation-free. Recycle the returned trace via [`Trace::recycle`]
     /// or [`Trace::into_output`].
@@ -257,7 +244,7 @@ impl ConvNet {
     }
 
     /// [`ConvNet::backward`] with all transients drawn from the workspace.
-    /// Bit-identical; intermediate per-layer errors return to the workspace
+    /// Intermediate per-layer errors return to the workspace
     /// as soon as the next layer has consumed them. Recycle the returned
     /// gradients via [`crate::LayerGrads::recycle`] and the input error via
     /// [`ConvWorkspace::give_fmaps`].
@@ -304,7 +291,8 @@ impl ConvNet {
 
     /// Backward pass: propagates `delta_out` (error on the network output)
     /// through every layer, returning per-layer gradients (forward order)
-    /// and the error on the network input.
+    /// and the error on the network input. Runs [`ConvNet::backward_ws`]
+    /// on a fresh workspace.
     ///
     /// # Errors
     ///
@@ -314,48 +302,12 @@ impl ConvNet {
         trace: &Trace,
         delta_out: &Fmaps<f32>,
     ) -> TensorResult<(Vec<LayerGrads>, Fmaps<f32>)> {
-        if delta_out.shape() != self.out_shape() {
-            return Err(ShapeError::new(format!(
-                "delta shape {:?} does not match output {:?}",
-                delta_out.shape(),
-                self.out_shape()
-            )));
-        }
-        let mut grads: Vec<Option<LayerGrads>> = (0..self.layers.len()).map(|_| None).collect();
-        let mut delta = delta_out.clone();
-        for (l, layer) in self.layers.iter().enumerate().rev() {
-            let input = if l == 0 {
-                &trace.input
-            } else {
-                &trace.post[l - 1]
-            };
-            let (dx, g) = layer.backward(&delta, &trace.pre[l], input)?;
-            grads[l] = Some(g);
-            delta = dx;
-        }
-        Ok((
-            grads
-                .into_iter()
-                .map(|g| g.expect("all layers visited"))
-                .collect(),
-            delta,
-        ))
+        self.backward_ws(trace, delta_out, &mut ConvWorkspace::new())
     }
 
     /// Creates zero-valued gradient accumulators matching every layer.
     pub fn zero_grads(&self) -> Vec<LayerGrads> {
-        self.layers
-            .iter()
-            .map(|l| LayerGrads {
-                weights: zfgan_tensor::Kernels::zeros(
-                    l.weights().n_of(),
-                    l.weights().n_if(),
-                    l.weights().kh(),
-                    l.weights().kw(),
-                ),
-                bias: vec![0.0; l.out_shape().0],
-            })
-            .collect()
+        self.zero_grads_ws(&mut ConvWorkspace::new())
     }
 
     /// [`ConvNet::zero_grads`] with the accumulator buffers drawn from the

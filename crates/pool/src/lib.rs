@@ -1,5 +1,5 @@
 //! `zfgan-pool` — a persistent, lazily-initialized, process-global worker
-//! pool for the data-parallel hot paths (`matmul_parallel`, `par_map`,
+//! pool for the data-parallel hot paths (`MatmulKind::Parallel`, `par_map`,
 //! `parallel_dis_grads`).
 //!
 //! Before this crate existed every parallel call site spawned and joined
@@ -139,7 +139,10 @@ unsafe impl Send for Task {}
 /// idle parking, and a round-robin cursor for task placement.
 struct Shared {
     queues: Vec<Mutex<VecDeque<Task>>>,
-    /// Tasks currently queued (approximate; used only for the depth gauge).
+    /// Tasks submitted but not yet popped — the `pool_queue_depth` gauge.
+    /// A batch adds its count *before* pushing any task and every pop
+    /// subtracts one *after* taking a task, so the counter never wraps and
+    /// never exceeds the tasks in flight.
     pending: AtomicUsize,
     /// Bumped on every submission; parked workers wake when it changes.
     version: Mutex<u64>,
@@ -217,11 +220,10 @@ fn steal(shared: &Shared, me: usize) -> Option<Task> {
 fn worker_loop(shared: &'static Shared, me: usize) {
     let mut seen_version = 0u64;
     loop {
-        let task = shared.queues[me]
-            .lock()
-            .unwrap()
-            .pop_front()
-            .or_else(|| steal(shared, me));
+        // Release the own-queue lock before stealing: holding it while
+        // `steal` locks the other queues lets two workers deadlock.
+        let own = shared.queues[me].lock().unwrap().pop_front();
+        let task = own.or_else(|| steal(shared, me));
         if let Some(t) = task {
             shared.pending.fetch_sub(1, Ordering::Relaxed);
             run_task(t);
@@ -289,10 +291,15 @@ pub fn run_batch<F: Fn(usize) + Sync>(n: usize, f: &F) -> Result<(), PoolError> 
     zfgan_telemetry::count_wall("pool_batches_total", &[], 1);
     zfgan_telemetry::count_wall("pool_tasks_total", &[], n as u64);
     let shared = if n > 1 { pool() } else { None };
-    let Some(shared) = shared else {
-        return run_inline(n, f);
-    };
+    match shared {
+        Some(shared) => run_on(shared, n, f),
+        None => run_inline(n, f),
+    }
+}
 
+/// Runs `f(0..n)` as one batch on `shared`'s queues, the submitting thread
+/// helping until every task has finished.
+fn run_on<F: Fn(usize) + Sync>(shared: &Shared, n: usize, f: &F) -> Result<(), PoolError> {
     /// Monomorphized trampoline; `ctx` is a `&F` in disguise.
     unsafe fn call<F: Fn(usize) + Sync>(ctx: *const (), index: usize) {
         let f = &*(ctx as *const F);
@@ -309,6 +316,12 @@ pub fn run_batch<F: Fn(usize) + Sync>(n: usize, f: &F) -> Result<(), PoolError> 
     };
     let hp: *const BatchHeader = &header;
 
+    // Count the batch in before any task is visible: a worker may pop and
+    // decrement as soon as the first push lands, and that decrement must
+    // not find the counter at zero. Relaxed suffices — the queue mutex
+    // orders this add before every pop of the batch's tasks.
+    let depth = shared.pending.fetch_add(n, Ordering::Relaxed) + n;
+    zfgan_telemetry::gauge_wall("pool_queue_depth", &[], depth as f64);
     let nq = shared.queues.len();
     let start = shared.rr.fetch_add(1, Ordering::Relaxed);
     for i in 0..n {
@@ -320,8 +333,6 @@ pub fn run_batch<F: Fn(usize) + Sync>(n: usize, f: &F) -> Result<(), PoolError> 
                 index: i,
             });
     }
-    let depth = shared.pending.fetch_add(n, Ordering::Relaxed) + n;
-    zfgan_telemetry::gauge_wall("pool_queue_depth", &[], depth as f64);
     {
         let mut v = shared.version.lock().unwrap();
         *v = v.wrapping_add(1);
@@ -605,6 +616,73 @@ mod tests {
         })
         .unwrap();
         assert_eq!(total.load(Ordering::SeqCst), 8 * 28);
+    }
+
+    /// Several submitters racing many tiny batches through one pool: the
+    /// queue-depth counter must never exceed the tasks in flight (a wrap
+    /// below zero reads as a huge count) and must drain back to zero.
+    #[test]
+    fn pending_stays_bounded_under_concurrent_submitters() {
+        const WORKERS: usize = 3;
+        const SUBMITTERS: usize = 4;
+        const BATCHES: usize = 2000;
+        // A private pool, so sibling tests' batches don't share the counter.
+        // Its workers live for the process, like the global pool's.
+        let shared: &'static Shared = Box::leak(Box::new(Shared::new(WORKERS)));
+        for i in 0..WORKERS {
+            std::thread::spawn(move || worker_loop(shared, i));
+        }
+        let go = &std::sync::Barrier::new(SUBMITTERS);
+        let (started, finished) = (&AtomicUsize::new(0), &AtomicUsize::new(0));
+        let stop = &std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let sampler = s.spawn(|| {
+                let mut samples = 0u64;
+                while !stop.load(Ordering::SeqCst) {
+                    // Both tallies only grow, and a batch is counted as
+                    // started before it is pushed and as finished after its
+                    // last pop, so `started − finished` read around the
+                    // sample bounds the tasks in flight at that moment.
+                    let done = finished.load(Ordering::SeqCst);
+                    let queued = shared.pending.load(Ordering::SeqCst);
+                    let submitted = started.load(Ordering::SeqCst);
+                    assert!(
+                        queued <= submitted - done,
+                        "pending {queued} exceeds the {} tasks in flight",
+                        submitted - done
+                    );
+                    samples += 1;
+                    std::thread::yield_now();
+                }
+                samples
+            });
+            let submitters: Vec<_> = (0..SUBMITTERS)
+                .map(|t| {
+                    s.spawn(move || {
+                        go.wait();
+                        for b in 0..BATCHES {
+                            let n = 2 + (t + b) % 7;
+                            started.fetch_add(n, Ordering::SeqCst);
+                            // Enough work per task that workers are busy
+                            // and pop new tasks the moment they land.
+                            run_on(shared, n, &|i| {
+                                for k in 0..2000 {
+                                    std::hint::black_box(i + k);
+                                }
+                            })
+                            .unwrap();
+                            finished.fetch_add(n, Ordering::SeqCst);
+                        }
+                    })
+                })
+                .collect();
+            for h in submitters {
+                h.join().unwrap();
+            }
+            stop.store(true, Ordering::SeqCst);
+            assert!(sampler.join().unwrap() > 0);
+        });
+        assert_eq!(shared.pending.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use crate::export;
+use crate::{export, Class};
 
 /// Histogram bounds for request-handling latency, in seconds.
 const LATENCY_BOUNDS: [f64; 4] = [1e-4, 1e-3, 1e-2, 1e-1];
@@ -34,15 +34,17 @@ const LATENCY_BOUNDS: [f64; 4] = [1e-4, 1e-3, 1e-2, 1e-1];
 ///
 /// Never errors today; the `Result` keeps the CLI signature uniform.
 pub fn serve_on(listener: TcpListener, max_requests: Option<u64>) -> Result<String, String> {
-    // The global registry must be live for the self-metrics (and for
-    // anything else the process records while serving).
-    crate::set_enabled(true);
+    // Self-metrics go straight into the registry being served. The
+    // process-wide `set_enabled` flag is left alone: flipping it here would
+    // leak into every other user of the process (sibling tests included).
+    let registry = crate::global();
     let mut served = 0u64;
     for stream in listener.incoming() {
         let Ok(stream) = stream else { continue };
         let started = Instant::now();
         handle(stream);
-        crate::observe_wall(
+        registry.observe(
+            Class::WallClock,
             "serve_request_seconds",
             &[],
             &LATENCY_BOUNDS,
@@ -63,7 +65,12 @@ fn handle(mut stream: TcpStream) {
         respond(&mut stream, "400 Bad Request", "bad request\n");
         return;
     };
-    crate::count_wall("serve_requests_total", &[("path", &path)], 1);
+    crate::global().add(
+        Class::WallClock,
+        "serve_requests_total",
+        &[("path", &path)],
+        1,
+    );
     match path.as_str() {
         "/metrics" => {
             let body = export::prometheus(&crate::global().snapshot());

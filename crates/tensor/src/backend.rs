@@ -21,7 +21,7 @@ use crate::error::TensorResult;
 use crate::fmaps::Fmaps;
 use crate::gemm::MatmulKind;
 use crate::im2col::{
-    im2col_s, im2col_t, im2col_t_with_output_size, s_conv_via_gemm_ws, weights_as_matrix_t,
+    im2col_t, im2col_t_with_output_size, s_conv_via_gemm_ws, weights_as_matrix_t, Lowered,
 };
 use crate::kernels::Kernels;
 use crate::num::Num;
@@ -78,7 +78,8 @@ impl ConvBackend {
         }
     }
 
-    /// Strided convolution (`S-CONV`) — see [`crate::s_conv`].
+    /// Strided convolution (`S-CONV`) — see [`crate::s_conv`]. Runs
+    /// [`ConvBackend::s_conv_ws`] on a fresh workspace.
     ///
     /// # Errors
     ///
@@ -89,31 +90,11 @@ impl ConvBackend {
         k: &Kernels<T>,
         geom: &ConvGeom,
     ) -> TensorResult<Fmaps<T>> {
-        match self {
-            ConvBackend::GoldenDirect => conv::s_conv(input, k, geom),
-            _ => {
-                if k.n_if() != input.channels() {
-                    return Err(ShapeError::new("kernel/input channel mismatch"));
-                }
-                let lowered = im2col_s(input, geom);
-                let mut wmat = crate::im2col::Matrix::zeros(k.n_if() * k.kh() * k.kw(), k.n_of());
-                crate::im2col::fill_weights_as_matrix_s_for(&mut wmat, k, self.mm());
-                let product = self.mm().run(&lowered.patches, &wmat)?;
-                let (oh, ow) = lowered.out_hw;
-                let mut out = Fmaps::zeros(k.n_of(), oh, ow);
-                for of in 0..k.n_of() {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            *out.at_mut(of, oy, ox) = *product.at(oy * ow + ox, of);
-                        }
-                    }
-                }
-                Ok(out)
-            }
-        }
+        self.s_conv_ws(input, k, geom, &mut ConvWorkspace::new())
     }
 
-    /// Transposed convolution (`T-CONV`) — see [`crate::t_conv`].
+    /// Transposed convolution (`T-CONV`) — see [`crate::t_conv`]. Runs
+    /// [`ConvBackend::t_conv_ws`] on a fresh workspace.
     ///
     /// # Errors
     ///
@@ -124,33 +105,12 @@ impl ConvBackend {
         k: &Kernels<T>,
         geom: &ConvGeom,
     ) -> TensorResult<Fmaps<T>> {
-        match self {
-            ConvBackend::GoldenDirect => conv::t_conv(input, k, geom),
-            ConvBackend::LoweredGemm => {
-                if k.n_of() != input.channels() {
-                    return Err(ShapeError::new("kernel/input channel mismatch"));
-                }
-                let lowered = im2col_t(input, geom);
-                let product = self.mm().run(&lowered.patches, &weights_as_matrix_t(k))?;
-                let (oh, ow) = lowered.out_hw;
-                let mut out = Fmaps::zeros(k.n_if(), oh, ow);
-                for lf in 0..k.n_if() {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            *out.at_mut(lf, oy, ox) = *product.at(oy * ow + ox, lf);
-                        }
-                    }
-                }
-                Ok(out)
-            }
-            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
-                zero_free::t_conv_zero_free(input, k, geom, self.mm())
-            }
-        }
+        self.t_conv_ws(input, k, geom, &mut ConvWorkspace::new())
     }
 
     /// Backward error pass of an `S-CONV` layer — see
-    /// [`crate::s_conv_input_grad`].
+    /// [`crate::s_conv_input_grad`]. Runs
+    /// [`ConvBackend::s_conv_input_grad_ws`] on a fresh workspace.
     ///
     /// # Errors
     ///
@@ -163,32 +123,12 @@ impl ConvBackend {
         in_h: usize,
         in_w: usize,
     ) -> TensorResult<Fmaps<T>> {
-        match self {
-            ConvBackend::GoldenDirect => conv::s_conv_input_grad(delta_out, k, geom, in_h, in_w),
-            ConvBackend::LoweredGemm => {
-                if k.n_of() != delta_out.channels() {
-                    return Err(ShapeError::new("kernel/error channel mismatch"));
-                }
-                let lowered = im2col_t_with_output_size(delta_out, geom, in_h, in_w);
-                let product = self.mm().run(&lowered.patches, &weights_as_matrix_t(k))?;
-                let mut out = Fmaps::zeros(k.n_if(), in_h, in_w);
-                for lf in 0..k.n_if() {
-                    for oy in 0..in_h {
-                        for ox in 0..in_w {
-                            *out.at_mut(lf, oy, ox) = *product.at(oy * in_w + ox, lf);
-                        }
-                    }
-                }
-                Ok(out)
-            }
-            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
-                zero_free::t_conv_zero_free_sized(delta_out, k, geom, in_h, in_w, self.mm())
-            }
-        }
+        self.s_conv_input_grad_ws(delta_out, k, geom, in_h, in_w, &mut ConvWorkspace::new())
     }
 
     /// Backward error pass of a `T-CONV` layer — see
-    /// [`crate::t_conv_input_grad`].
+    /// [`crate::t_conv_input_grad`]. Runs
+    /// [`ConvBackend::t_conv_input_grad_ws`] on a fresh workspace.
     ///
     /// # Errors
     ///
@@ -199,15 +139,11 @@ impl ConvBackend {
         k: &Kernels<T>,
         geom: &ConvGeom,
     ) -> TensorResult<Fmaps<T>> {
-        match self {
-            ConvBackend::GoldenDirect => conv::t_conv_input_grad(delta_out, k, geom),
-            // This pass involves no zero-inserting in either formulation,
-            // so dense-lowered and zero-free share one GEMM.
-            _ => zero_free::t_conv_input_grad_via_gemm(delta_out, k, geom, self.mm()),
-        }
+        self.t_conv_input_grad_ws(delta_out, k, geom, &mut ConvWorkspace::new())
     }
 
     /// `W-CONV` of an `S-CONV` layer — see [`crate::w_conv_for_s_layer`].
+    /// Runs [`ConvBackend::w_conv_for_s_layer_ws`] on a fresh workspace.
     ///
     /// # Errors
     ///
@@ -218,16 +154,11 @@ impl ConvBackend {
         delta_out: &Fmaps<T>,
         geom: &ConvGeom,
     ) -> TensorResult<Kernels<T>> {
-        match self {
-            ConvBackend::GoldenDirect => conv::w_conv_for_s_layer(input, delta_out, geom),
-            // Caffe computes exactly this GEMM — the dilated ("zero-
-            // inserted in kernel") error operand never materialises — so
-            // it serves the dense-lowered backend too.
-            _ => zero_free::w_conv_s_via_gemm(input, delta_out, geom, self.mm()),
-        }
+        self.w_conv_for_s_layer_ws(input, delta_out, geom, &mut ConvWorkspace::new())
     }
 
     /// `W-CONV` of a `T-CONV` layer — see [`crate::w_conv_for_t_layer`].
+    /// Runs [`ConvBackend::w_conv_for_t_layer_ws`] on a fresh workspace.
     ///
     /// # Errors
     ///
@@ -238,24 +169,16 @@ impl ConvBackend {
         delta_out: &Fmaps<T>,
         geom: &ConvGeom,
     ) -> TensorResult<Kernels<T>> {
-        match self {
-            ConvBackend::GoldenDirect => conv::w_conv_for_t_layer(input, delta_out, geom),
-            ConvBackend::LoweredGemm => {
-                zero_free::w_conv_t_via_zero_insert_gemm(input, delta_out, geom, self.mm())
-            }
-            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
-                zero_free::w_conv_t_zero_free(input, delta_out, geom, self.mm())
-            }
-        }
+        self.w_conv_for_t_layer_ws(input, delta_out, geom, &mut ConvWorkspace::new())
     }
 
-    // Workspace-fed variants. Each is bit-identical to its allocating
-    // sibling above; transients come from (and return to) `ws`, so a
-    // steady-state call allocates nothing (pinned by `tests/zero_alloc.rs`
-    // on the default backend). `GoldenDirect` and the `LoweredGemm`
-    // zero-inserting T paths delegate to the allocating forms: they are
-    // comparison baselines, not the training hot path, and keeping them
-    // allocating keeps their cost model honest.
+    // The single implementation of every pass. Transients come from (and
+    // return to) `ws`, so a steady-state call allocates nothing (pinned by
+    // `tests/zero_alloc.rs` on the default backend). `GoldenDirect` runs
+    // the allocating golden nests, and the `LoweredGemm` zero-inserting T
+    // paths materialise their zero-inserted operands on every call: they
+    // are comparison baselines, not the training hot path, and paying for
+    // every inserted zero is the Caffe cost model they stand for.
 
     /// [`ConvBackend::s_conv`] with transients drawn from the workspace.
     ///
@@ -288,7 +211,13 @@ impl ConvBackend {
         ws: &mut ConvWorkspace<T>,
     ) -> TensorResult<Fmaps<T>> {
         match self {
-            ConvBackend::GoldenDirect | ConvBackend::LoweredGemm => self.t_conv(input, k, geom),
+            ConvBackend::GoldenDirect => conv::t_conv(input, k, geom),
+            ConvBackend::LoweredGemm => {
+                if k.n_of() != input.channels() {
+                    return Err(ShapeError::new("kernel/input channel mismatch"));
+                }
+                self.dense_t_lowering(im2col_t(input, geom), k, ws)
+            }
             ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
                 zero_free::t_conv_zero_free_ws(input, k, geom, self.mm(), ws)
             }
@@ -311,8 +240,13 @@ impl ConvBackend {
         ws: &mut ConvWorkspace<T>,
     ) -> TensorResult<Fmaps<T>> {
         match self {
-            ConvBackend::GoldenDirect | ConvBackend::LoweredGemm => {
-                self.s_conv_input_grad(delta_out, k, geom, in_h, in_w)
+            ConvBackend::GoldenDirect => conv::s_conv_input_grad(delta_out, k, geom, in_h, in_w),
+            ConvBackend::LoweredGemm => {
+                if k.n_of() != delta_out.channels() {
+                    return Err(ShapeError::new("kernel/error channel mismatch"));
+                }
+                let lowered = im2col_t_with_output_size(delta_out, geom, in_h, in_w);
+                self.dense_t_lowering(lowered, k, ws)
             }
             ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
                 zero_free::t_conv_zero_free_sized_ws(delta_out, k, geom, in_h, in_w, self.mm(), ws)
@@ -321,7 +255,8 @@ impl ConvBackend {
     }
 
     /// [`ConvBackend::t_conv_input_grad`] with transients drawn from the
-    /// workspace.
+    /// workspace. This pass involves no zero-inserting in either
+    /// formulation, so dense-lowered and zero-free share one GEMM.
     ///
     /// # Errors
     ///
@@ -340,7 +275,9 @@ impl ConvBackend {
     }
 
     /// [`ConvBackend::w_conv_for_s_layer`] with transients drawn from the
-    /// workspace.
+    /// workspace. Caffe computes exactly this GEMM — the dilated ("zero-
+    /// inserted in kernel") error operand never materialises — so it
+    /// serves the dense-lowered backend too.
     ///
     /// # Errors
     ///
@@ -372,13 +309,39 @@ impl ConvBackend {
         ws: &mut ConvWorkspace<T>,
     ) -> TensorResult<Kernels<T>> {
         match self {
-            ConvBackend::GoldenDirect | ConvBackend::LoweredGemm => {
-                self.w_conv_for_t_layer(input, delta_out, geom)
+            ConvBackend::GoldenDirect => conv::w_conv_for_t_layer(input, delta_out, geom),
+            ConvBackend::LoweredGemm => {
+                zero_free::w_conv_t_via_zero_insert_gemm(input, delta_out, geom, self.mm())
             }
             ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
                 zero_free::w_conv_t_zero_free_ws(input, delta_out, geom, self.mm(), ws)
             }
         }
+    }
+
+    /// The dense (Caffe) T-lowering's GEMM and scatter: the zero-inserted
+    /// patch matrix `lowered` times the flipped-kernel weight matrix, one
+    /// output map per large-side channel.
+    fn dense_t_lowering<T: Num>(
+        self,
+        lowered: Lowered<T>,
+        k: &Kernels<T>,
+        ws: &mut ConvWorkspace<T>,
+    ) -> TensorResult<Fmaps<T>> {
+        let product = self
+            .mm()
+            .run_ws(&lowered.patches, &weights_as_matrix_t(k), ws)?;
+        let (oh, ow) = lowered.out_hw;
+        let mut out = ws.take_fmaps(k.n_if(), oh, ow);
+        for lf in 0..k.n_if() {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    *out.at_mut(lf, oy, ox) = *product.at(oy * ow + ox, lf);
+                }
+            }
+        }
+        ws.give_matrix(product);
+        Ok(out)
     }
 }
 

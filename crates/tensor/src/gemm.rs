@@ -15,6 +15,10 @@
 //!   operands; other element types (the `f64` validation paths) fall back
 //!   to the scalar blocked kernel and keep its naive bit-identity.
 //!
+//! Every kind has one entry, [`MatmulKind::run_ws`], which draws the
+//! product and the packing scratch from a [`ConvWorkspace`];
+//! [`MatmulKind::run`] is the same call on a fresh workspace.
+//!
 //! # Packed-kernel semantics
 //!
 //! The packed f32 kernel defines its *own* fixed accumulation order — per
@@ -47,8 +51,6 @@
 //!
 //! [`Fx`]: crate::Fx
 
-use std::cell::RefCell;
-
 use crate::error::{ShapeError, TensorResult};
 use crate::fault::{FaultLog, FaultPlan, FaultSite};
 use crate::im2col::Matrix;
@@ -65,14 +67,6 @@ const ROW_BLOCK: usize = 16;
 /// tile re-walks the sparse `a` row, and on the ~50%-zero activations the
 /// repeated `is_zero` branches cost more than the tile buys.
 const COL_BLOCK: usize = 128;
-
-thread_local! {
-    // Packed-kernel scratch for the allocating (non-workspace) entry
-    // points: steady-state packing reuse without threading a workspace
-    // through every call site. Workspace callers use the workspace's own
-    // scratch instead (`ConvWorkspace::pack_scratch`).
-    static PACK_TLS: RefCell<PackScratch> = RefCell::new(PackScratch::new());
-}
 
 /// How a lowered convolution multiplies its patch and weight matrices.
 ///
@@ -110,28 +104,20 @@ impl MatmulKind {
         matches!(self, MatmulKind::Naive | MatmulKind::BlockedScalar)
     }
 
-    /// Runs the selected kernel on `a × b`.
+    /// Runs the selected kernel on `a × b`: [`MatmulKind::run_ws`] on a
+    /// fresh workspace.
     ///
     /// # Errors
     ///
     /// Returns an error if the inner dimensions disagree.
     pub fn run<T: Num>(&self, a: &Matrix<T>, b: &Matrix<T>) -> TensorResult<Matrix<T>> {
-        match *self {
-            MatmulKind::Naive => {
-                zfgan_telemetry::count("gemm_calls", &[("backend", "naive")], 1);
-                a.matmul(b)
-            }
-            MatmulKind::BlockedScalar => matmul_blocked_scalar(a, b),
-            MatmulKind::Blocked => matmul_blocked(a, b),
-            MatmulKind::Parallel(n) => matmul_parallel(a, b, n),
-        }
+        self.run_ws(a, b, &mut ConvWorkspace::new())
     }
 
     /// Runs the selected kernel on `a × b` with the product drawn from the
-    /// workspace instead of allocated — and, for the packed kernels, the
-    /// packing scratch reused from the workspace too. Bit-identical to
-    /// [`MatmulKind::run`] for every variant; return the product via
-    /// [`ConvWorkspace::give_matrix`] when done.
+    /// workspace — and, for the packed kernels, the packing scratch reused
+    /// from the workspace too. The one implementation behind every kind;
+    /// return the product via [`ConvWorkspace::give_matrix`] when done.
     ///
     /// # Errors
     ///
@@ -263,27 +249,16 @@ fn check_matmul_shapes<T: Num>(a: &Matrix<T>, b: &Matrix<T>, out: &Matrix<T>) ->
     Ok(())
 }
 
-/// The retained cache-blocked scalar GEMM: `a × b`, bit-identical to
-/// [`Matrix::matmul`]. The scalar oracle the packed microkernel is gated
-/// against.
-///
-/// # Errors
-///
-/// Returns an error if the inner dimensions disagree.
-pub fn matmul_blocked_scalar<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> TensorResult<Matrix<T>> {
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    matmul_blocked_scalar_into(a, b, &mut out)?;
-    Ok(out)
-}
-
-/// [`matmul_blocked_scalar`] into a caller-provided output matrix (every
-/// element is overwritten; no pre-zeroing required).
+/// The retained cache-blocked scalar GEMM: `a × b` into a caller-provided
+/// output matrix (every element is overwritten; no pre-zeroing required),
+/// bit-identical to [`Matrix::matmul`]. The scalar oracle the packed
+/// microkernel is gated against.
 ///
 /// # Errors
 ///
 /// Returns an error if the inner dimensions disagree or `out` has the wrong
 /// shape.
-pub fn matmul_blocked_scalar_into<T: Num>(
+fn matmul_blocked_scalar_into<T: Num>(
     a: &Matrix<T>,
     b: &Matrix<T>,
     out: &mut Matrix<T>,
@@ -297,37 +272,11 @@ pub fn matmul_blocked_scalar_into<T: Num>(
 
 /// Packed SIMD microkernel GEMM: `a × b` through [`crate::microkernel`]
 /// for `f32`/[`Fx`](crate::Fx) operands (scalar blocked fallback for
-/// other element types). Deterministic for every SIMD level; see the
-/// module docs for how it relates to the naive oracle.
-///
-/// # Errors
-///
-/// Returns an error if the inner dimensions disagree.
-pub fn matmul_blocked<T: Num>(a: &Matrix<T>, b: &Matrix<T>) -> TensorResult<Matrix<T>> {
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    matmul_blocked_into(a, b, &mut out)?;
-    Ok(out)
-}
-
-/// [`matmul_blocked`] into a caller-provided output matrix (every element
-/// is overwritten; no pre-zeroing required), packing into thread-local
-/// scratch. The workspace conv path uses the `_scratch` variant instead.
-///
-/// # Errors
-///
-/// Returns an error if the inner dimensions disagree or `out` has the wrong
-/// shape.
-pub fn matmul_blocked_into<T: Num>(
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    out: &mut Matrix<T>,
-) -> TensorResult<()> {
-    PACK_TLS.with(|s| matmul_blocked_into_scratch(a, b, out, &mut s.borrow_mut()))
-}
-
-/// [`matmul_blocked_into`] with caller-owned packing scratch (the
-/// workspace hot path: zero allocations once the scratch is warm).
-pub(crate) fn matmul_blocked_into_scratch<T: Num>(
+/// other element types), into a caller-provided output matrix (every
+/// element is overwritten) with caller-owned packing scratch — zero
+/// allocations once the scratch is warm. Deterministic for every SIMD
+/// level; see the module docs for how it relates to the naive oracle.
+fn matmul_blocked_into_scratch<T: Num>(
     a: &Matrix<T>,
     b: &Matrix<T>,
     out: &mut Matrix<T>,
@@ -360,52 +309,17 @@ pub(crate) fn matmul_blocked_into_scratch<T: Num>(
     Ok(())
 }
 
-/// Multithreaded packed GEMM: operands packed once on the calling thread,
-/// then contiguous row chunks of the output, one pool task each (on the
-/// persistent `zfgan-pool` workers). Bit-identical to [`matmul_blocked`]
-/// for every thread count.
+/// Multithreaded packed GEMM: operands packed once on the calling thread
+/// into caller-owned scratch, then contiguous row chunks of the output,
+/// one pool task each (on the persistent `zfgan-pool` workers).
 ///
-/// `n_threads` is clamped to `[1, a.rows()]`; with one thread this is
-/// exactly [`matmul_blocked`].
-///
-/// # Errors
-///
-/// Returns an error if the inner dimensions disagree.
-pub fn matmul_parallel<T: Num>(
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    n_threads: usize,
-) -> TensorResult<Matrix<T>> {
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    matmul_parallel_into(a, b, n_threads, &mut out)?;
-    Ok(out)
-}
-
-/// [`matmul_parallel`] into a caller-provided output matrix (every element
-/// is overwritten; no pre-zeroing required), packing into thread-local
-/// scratch.
-///
-/// The row chunking is a pure function of `(rows, n_threads)` — identical
-/// to the pre-pool scoped-thread split — and the packed kernel's panels
-/// run along `k` *within* a row, so results stay bit-identical regardless
-/// of which pool worker runs which chunk.
-///
-/// # Errors
-///
-/// Returns an error if the inner dimensions disagree or `out` has the wrong
-/// shape.
-pub fn matmul_parallel_into<T: Num>(
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    n_threads: usize,
-    out: &mut Matrix<T>,
-) -> TensorResult<()> {
-    PACK_TLS.with(|s| matmul_parallel_into_scratch(a, b, n_threads, out, &mut s.borrow_mut()))
-}
-
-/// [`matmul_parallel_into`] with caller-owned packing scratch (the
-/// workspace hot path).
-pub(crate) fn matmul_parallel_into_scratch<T: Num>(
+/// `n_threads` is clamped to `[1, a.rows()]` and to the pool width; with
+/// one thread this is exactly [`matmul_blocked_into_scratch`]. The row
+/// chunking is a pure function of `(rows, n_threads)`, and the packed
+/// kernel's panels run along `k` *within* a row, so results stay
+/// bit-identical for every thread count and regardless of which pool
+/// worker runs which chunk.
+fn matmul_parallel_into_scratch<T: Num>(
     a: &Matrix<T>,
     b: &Matrix<T>,
     n_threads: usize,
@@ -755,7 +669,7 @@ mod tests {
             let a = random_matrix(m, k, 0.4, &mut rng);
             let b = random_matrix(k, n, 0.1, &mut rng);
             let naive = a.matmul(&b).unwrap();
-            let blocked = matmul_blocked_scalar(&a, &b).unwrap();
+            let blocked = MatmulKind::BlockedScalar.run(&a, &b).unwrap();
             assert_eq!(naive, blocked, "{m}×{k}×{n}");
         }
     }
@@ -767,7 +681,7 @@ mod tests {
             let a = random_matrix(m, k, 0.4, &mut rng);
             let b = random_matrix(k, n, 0.1, &mut rng);
             let naive = a.matmul(&b).unwrap();
-            let packed = matmul_blocked(&a, &b).unwrap();
+            let packed = MatmulKind::Blocked.run(&a, &b).unwrap();
             assert_within_accumulation_bound(&naive, &packed, k);
         }
     }
@@ -791,8 +705,16 @@ mod tests {
             let a = draw(m, k, &mut rng);
             let b = draw(k, n, &mut rng);
             let naive = a.matmul(&b).unwrap();
-            assert_eq!(naive, matmul_blocked(&a, &b).unwrap(), "{m}×{k}×{n}");
-            assert_eq!(naive, matmul_blocked_scalar(&a, &b).unwrap(), "{m}×{k}×{n}");
+            assert_eq!(
+                naive,
+                MatmulKind::Blocked.run(&a, &b).unwrap(),
+                "{m}×{k}×{n}"
+            );
+            assert_eq!(
+                naive,
+                MatmulKind::BlockedScalar.run(&a, &b).unwrap(),
+                "{m}×{k}×{n}"
+            );
         }
     }
 
@@ -801,9 +723,9 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(11);
         let a = random_matrix(37, 50, 0.5, &mut rng);
         let b = random_matrix(50, 23, 0.0, &mut rng);
-        let reference = matmul_blocked(&a, &b).unwrap();
+        let reference = MatmulKind::Blocked.run(&a, &b).unwrap();
         for threads in [1, 2, 3, 5, 8, 64] {
-            let par = matmul_parallel(&a, &b, threads).unwrap();
+            let par = MatmulKind::Parallel(threads).run(&a, &b).unwrap();
             assert_eq!(reference, par, "threads={threads}");
         }
     }
@@ -832,8 +754,8 @@ mod tests {
         let a = random_matrix(4, 6, 0.0, &mut rng);
         let b = random_matrix(6, 3, 0.0, &mut rng);
         assert_eq!(
-            matmul_blocked(&a, &b).unwrap(),
-            matmul_parallel(&a, &b, 0).unwrap()
+            MatmulKind::Blocked.run(&a, &b).unwrap(),
+            MatmulKind::Parallel(0).run(&a, &b).unwrap()
         );
     }
 
@@ -841,9 +763,9 @@ mod tests {
     fn kernels_reject_dimension_mismatch() {
         let a: Matrix<f32> = Matrix::zeros(2, 3);
         let b: Matrix<f32> = Matrix::zeros(2, 3);
-        assert!(matmul_blocked(&a, &b).is_err());
-        assert!(matmul_blocked_scalar(&a, &b).is_err());
-        assert!(matmul_parallel(&a, &b, 4).is_err());
+        assert!(MatmulKind::Blocked.run(&a, &b).is_err());
+        assert!(MatmulKind::BlockedScalar.run(&a, &b).is_err());
+        assert!(MatmulKind::Parallel(4).run(&a, &b).is_err());
     }
 
     #[test]
@@ -917,7 +839,7 @@ mod tests {
     }
 
     #[test]
-    fn workspace_scratch_matches_thread_local_scratch() {
+    fn recycled_workspace_scratch_matches_fresh_scratch() {
         let mut rng = SmallRng::seed_from_u64(16);
         let a = random_matrix(12, 40, 0.5, &mut rng);
         let b = random_matrix(40, 17, 0.0, &mut rng);

@@ -208,7 +208,7 @@ impl<T: Num> Lowered<T> {
 
 /// The `S-CONV` patch fill loop, shared by the allocating and workspace
 /// lowerings. Writes every cell of `patches`.
-pub(crate) fn fill_im2col_s<T: Num>(
+fn fill_im2col_s<T: Num>(
     patches: &mut Matrix<T>,
     input: &Fmaps<T>,
     geom: &ConvGeom,
@@ -308,9 +308,9 @@ pub fn im2col_t_with_output_size<T: Num>(
     }
 }
 
-/// The `S-CONV` weight-matrix fill, shared by the allocating and workspace
-/// reshapes. Writes every cell of `m`.
-pub(crate) fn fill_weights_as_matrix_s<T: Num>(m: &mut Matrix<T>, k: &Kernels<T>) {
+/// The cache-tuned `S-CONV` weight-matrix fill behind
+/// [`weights_as_matrix_s`]. Writes every cell of `m`.
+fn fill_weights_as_matrix_s<T: Num>(m: &mut Matrix<T>, k: &Kernels<T>) {
     // Row-major traversal: contiguous writes per output row; for a fixed
     // `if_` the strided reads revisit the same few cache lines of every
     // `of` block across the `(ky, kx)` sweep, so the kernel tensor
@@ -337,7 +337,7 @@ pub(crate) fn fill_weights_as_matrix_s<T: Num>(m: &mut Matrix<T>, k: &Kernels<T>
 /// reference engines run this loop (see
 /// [`crate::gemm::MatmulKind::is_reference`]); tests pin it bit-identical
 /// to the row-major fill.
-pub(crate) fn fill_weights_as_matrix_s_ref<T: Num>(m: &mut Matrix<T>, k: &Kernels<T>) {
+fn fill_weights_as_matrix_s_ref<T: Num>(m: &mut Matrix<T>, k: &Kernels<T>) {
     for of in 0..k.n_of() {
         let mut row = 0;
         for if_ in 0..k.n_if() {
@@ -351,26 +351,13 @@ pub(crate) fn fill_weights_as_matrix_s_ref<T: Num>(m: &mut Matrix<T>, k: &Kernel
     }
 }
 
-/// Picks the specification or cache-tuned weight fill by GEMM family.
-pub(crate) fn fill_weights_as_matrix_s_for<T: Num>(
-    m: &mut Matrix<T>,
-    k: &Kernels<T>,
-    mm: crate::gemm::MatmulKind,
-) {
-    if mm.is_reference() {
-        fill_weights_as_matrix_s_ref(m, k);
-    } else {
-        fill_weights_as_matrix_s(m, k);
-    }
-}
-
 /// Fills one row `r` of the [`fill_weights_as_matrix_s`] reshape — the
 /// per-row form the streamed GEMM lowering pulls through
 /// [`crate::gemm`]'s row callback, so the full weight matrix need never
 /// be materialised. Row `r` is the linear `(if_, ky, kx)` index, which is
 /// exactly the kernel tensor's within-block offset. Writes every element
 /// of `row`.
-pub(crate) fn fill_weights_as_matrix_s_row<T: Num>(k: &Kernels<T>, r: usize, row: &mut [T]) {
+fn fill_weights_as_matrix_s_row<T: Num>(k: &Kernels<T>, r: usize, row: &mut [T]) {
     let block = k.n_if() * k.kh() * k.kw();
     let kdata = k.as_slice();
     for (of, d) in row.iter_mut().enumerate() {
@@ -408,13 +395,6 @@ pub(crate) fn fill_im2col_s_row<T: Num>(
 /// operand.
 pub fn weights_as_matrix_s<T: Num>(k: &Kernels<T>) -> Matrix<T> {
     let mut m = Matrix::zeros(k.n_if() * k.kh() * k.kw(), k.n_of());
-    fill_weights_as_matrix_s(&mut m, k);
-    m
-}
-
-/// [`weights_as_matrix_s`] drawing its matrix from a [`ConvWorkspace`].
-pub fn weights_as_matrix_s_ws<T: Num>(k: &Kernels<T>, ws: &mut ConvWorkspace<T>) -> Matrix<T> {
-    let mut m = ws.take_matrix(k.n_if() * k.kh() * k.kw(), k.n_of());
     fill_weights_as_matrix_s(&mut m, k);
     m
 }
@@ -495,7 +475,7 @@ pub fn s_conv_via_gemm_ws<T: Num>(
     let lowered = im2col_s_ws(input, geom, ws);
     let product = if mm.is_reference() {
         let mut wmat = ws.take_matrix(k.n_if() * k.kh() * k.kw(), k.n_of());
-        fill_weights_as_matrix_s_for(&mut wmat, k, mm);
+        fill_weights_as_matrix_s_ref(&mut wmat, k);
         let product = mm.run_ws(&lowered.patches, &wmat, ws)?;
         ws.give_matrix(wmat);
         product

@@ -8,6 +8,14 @@
 //! **zero heap allocation** (pinned by `tests/zero_alloc.rs` with a
 //! counting global allocator).
 //!
+//! The workspace-fed (`_ws`) functions are the *only* implementation of
+//! each lowered pass. The allocating entry points —
+//! [`crate::ConvBackend`]'s plain methods,
+//! [`crate::gemm::MatmulKind::run`], and the layer/network passes in
+//! `zfgan-nn` — run them on a fresh `ConvWorkspace::new()`, so a
+//! fresh-workspace call and a call on recycled (dirty) buffers must agree
+//! bit for bit; that is what the zero-fill rules below protect.
+//!
 //! # Lifetime rules
 //!
 //! - `take_*` hands out a buffer of the exact requested shape, zero-filled
@@ -25,9 +33,9 @@
 //!
 //! Setting [`ConvWorkspace::set_reuse`]`(false)` turns the arena into a
 //! pass-through allocator (every `take` is fresh, every `give` drops, the
-//! T-CONV phase cache is bypassed). The workspace code path itself is
-//! unchanged, which is how the `trainstep` bench measures an honest
-//! allocating baseline against the reusing one.
+//! T-CONV phase cache is bypassed, packing scratch is rebuilt per GEMM).
+//! The code path itself is unchanged, which is how the `trainstep` bench
+//! measures an honest allocating baseline against the reusing one.
 
 use crate::fmaps::Fmaps;
 use crate::im2col::Matrix;
@@ -94,8 +102,8 @@ impl<T> ConvWorkspace<T> {
     }
 
     /// Toggles buffer reuse. Disabling also drops every cached buffer and
-    /// bypasses the phase cache, so subsequent calls behave exactly like
-    /// the pre-workspace allocating code path.
+    /// bypasses the phase cache, so subsequent calls allocate every
+    /// transient afresh — the honest allocating baseline.
     pub fn set_reuse(&mut self, reuse: bool) {
         self.reuse = reuse;
         if !reuse {

@@ -38,6 +38,14 @@
 //! deterministic; see [`crate::microkernel`]), while `Fx` and `f64` stay
 //! bit-identical to golden. `tests/fast_conv.rs` pins both contracts over
 //! random geometries.
+//!
+//! Each pass has exactly one lowering, and it draws every transient from a
+//! [`ConvWorkspace`] (the `_ws` functions). The allocating entry points
+//! live one level up: [`crate::ConvBackend`]'s plain methods run these on
+//! a fresh workspace. The only other lowerings here are accounting and
+//! baseline views — [`im2col_t_zero_free`] and
+//! [`t_zero_free_gemm_operands`] expose the phase matrices, and
+//! [`w_conv_t_via_zero_insert_gemm`] is the dense W-CONV baseline.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -45,7 +53,7 @@ use std::sync::Arc;
 use crate::error::{ShapeError, TensorResult};
 use crate::fmaps::Fmaps;
 use crate::gemm::MatmulKind;
-use crate::im2col::{fill_im2col_s_row, im2col_s, im2col_s_ws, Lowered, Matrix};
+use crate::im2col::{fill_im2col_s_row, im2col_s_ws, Lowered, Matrix};
 use crate::kernels::Kernels;
 use crate::num::Num;
 use crate::shape::ConvGeom;
@@ -300,20 +308,6 @@ fn fill_t_phase_weights_ref<T: Num>(m: &mut Matrix<T>, k: &Kernels<T>, phase: &T
     }
 }
 
-/// Picks the specification or cache-tuned weight fill by GEMM family.
-fn fill_t_phase_weights_for<T: Num>(
-    m: &mut Matrix<T>,
-    k: &Kernels<T>,
-    phase: &TPhase,
-    mm: MatmulKind,
-) {
-    if mm.is_reference() {
-        fill_t_phase_weights_ref(m, k, phase);
-    } else {
-        fill_t_phase_weights(m, k, phase);
-    }
-}
-
 /// The row subset of [`crate::im2col::weights_as_matrix_t`] matching one
 /// phase's kept taps: rows are `(sf, ky′, kx′)`, columns the large-side
 /// output channels.
@@ -343,7 +337,7 @@ pub fn im2col_t_zero_free<T: Num>(input: &Fmaps<T>, geom: &ConvGeom) -> Vec<Lowe
 }
 
 /// The per-phase GEMM operand pairs `(patches, weights)` of a zero-free
-/// `T-CONV` — the exact matrices [`t_conv_zero_free`] multiplies, exposed
+/// `T-CONV` — the exact matrices [`t_conv_zero_free_ws`] multiplies, exposed
 /// so fault-injection campaigns can drive each phase's GEMM through
 /// instrumented kernels (ABFT checks, accumulator corruption) without
 /// re-deriving the dataflow. Phases with no reachable kernel taps are
@@ -373,68 +367,8 @@ pub fn t_zero_free_gemm_operands<T: Num>(
 }
 
 /// Zero-free `T-CONV`: compact per-phase lowering + GEMM, bit-identical
-/// to [`crate::t_conv`].
-///
-/// # Errors
-///
-/// Returns an error if `k.n_of() != input.channels()`.
-pub fn t_conv_zero_free<T: Num>(
-    input: &Fmaps<T>,
-    k: &Kernels<T>,
-    geom: &ConvGeom,
-    mm: MatmulKind,
-) -> TensorResult<Fmaps<T>> {
-    let (oh, ow) = geom.up_out(input.height(), input.width());
-    t_conv_zero_free_sized(input, k, geom, oh, ow, mm)
-}
-
-/// [`t_conv_zero_free`] with an explicit output size (the backward error
-/// pass of an S-CONV layer needs the original input size back).
-///
-/// # Errors
-///
-/// Returns an error if `k.n_of() != input.channels()`.
-pub fn t_conv_zero_free_sized<T: Num>(
-    input: &Fmaps<T>,
-    k: &Kernels<T>,
-    geom: &ConvGeom,
-    oh: usize,
-    ow: usize,
-    mm: MatmulKind,
-) -> TensorResult<Fmaps<T>> {
-    if k.n_of() != input.channels() {
-        return Err(ShapeError::new(format!(
-            "kernel's down-direction output side is {} maps, t_conv input has {}",
-            k.n_of(),
-            input.channels()
-        )));
-    }
-    let mut out = Fmaps::zeros(k.n_if(), oh, ow);
-    for phase in t_phases(geom, oh, ow) {
-        if phase.kys.is_empty() || phase.kxs.is_empty() {
-            // No kernel tap reaches this phase: its outputs stay zero,
-            // exactly as the golden scatter leaves them.
-            continue;
-        }
-        let cols = input.channels() * phase.kys.len() * phase.kxs.len();
-        let mut patches = Matrix::zeros(phase.oys.len() * phase.oxs.len(), cols);
-        fill_t_phase_patches_for(&mut patches, input, geom, &phase, mm);
-        let mut weights = Matrix::zeros(k.n_of() * phase.kys.len() * phase.kxs.len(), k.n_if());
-        fill_t_phase_weights_for(&mut weights, k, &phase, mm);
-        let product = mm.run(&patches, &weights)?;
-        for lf in 0..k.n_if() {
-            for (ri, &oy) in phase.oys.iter().enumerate() {
-                for (rj, &ox) in phase.oxs.iter().enumerate() {
-                    *out.at_mut(lf, oy, ox) = *product.at(ri * phase.oxs.len() + rj, lf);
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// [`t_conv_zero_free`] with every transient drawn from the workspace.
-/// Bit-identical; the returned maps belong to the caller.
+/// to [`crate::t_conv`] under a scalar GEMM. Every transient comes from
+/// the workspace; the returned maps belong to the caller.
 ///
 /// # Errors
 ///
@@ -450,10 +384,11 @@ pub fn t_conv_zero_free_ws<T: Num>(
     t_conv_zero_free_sized_ws(input, k, geom, oh, ow, mm, ws)
 }
 
-/// [`t_conv_zero_free_sized`] with every transient (phase patch and weight
-/// matrices, GEMM products, output maps) drawn from the workspace, and the
-/// phase decomposition memoized through its [`PhaseCache`]. Bit-identical
-/// to the allocating form.
+/// [`t_conv_zero_free_ws`] with an explicit output size (the backward
+/// error pass of an S-CONV layer needs the original input size back).
+/// Every transient (phase patch and weight matrices, GEMM products,
+/// output maps) comes from the workspace, and the phase decomposition is
+/// memoized through its [`PhaseCache`].
 ///
 /// # Errors
 ///
@@ -592,45 +527,13 @@ fn t_conv_one_by_one_ws<T: Num>(
     Ok(Some(out))
 }
 
-/// Reshapes a (down-layout) weight tensor for the backward error pass of a
-/// T-CONV layer: rows are `(lf, ky, kx)`, columns the small-side channels
-/// — the operand of [`t_conv_input_grad_via_gemm`].
-pub fn weights_as_matrix_s_swapped<T: Num>(k: &Kernels<T>) -> Matrix<T> {
-    let mut m = Matrix::zeros(k.n_if() * k.kh() * k.kw(), k.n_of());
-    fill_weights_as_matrix_s_swapped(&mut m, k);
-    m
-}
-
 /// Fills a `(n_if·kh·kw) × n_of` matrix with the channel-swapped weight
-/// layout of [`weights_as_matrix_s_swapped`]. Writes every cell.
-fn fill_weights_as_matrix_s_swapped<T: Num>(m: &mut Matrix<T>, k: &Kernels<T>) {
-    // Row-major traversal: each output row is written contiguously, and
-    // for a fixed `lf` the strided reads revisit the same few cache lines
-    // of every `sf` block across the `(ky, kx)` sweep. The column-major
-    // variant (outer `sf`) re-walks the whole matrix once per column and
-    // is memory-bound on the writes.
-    let (n_if, kh, kw) = (k.n_if(), k.kh(), k.kw());
-    let kdata = k.as_slice();
-    let mut row = 0;
-    for lf in 0..n_if {
-        for ky in 0..kh {
-            for kx in 0..kw {
-                let off = (lf * kh + ky) * kw + kx;
-                let dst = m.row_mut(row);
-                for (sf, d) in dst.iter_mut().enumerate() {
-                    *d = kdata[sf * n_if * kh * kw + off];
-                }
-                row += 1;
-            }
-        }
-    }
-}
-
-/// Specification form of [`fill_weights_as_matrix_s_swapped`]:
-/// column-major traversal through the kernel accessor, as the reshape is
-/// defined. The reference engines run this loop (see
+/// layout the backward error pass of a T-CONV layer multiplies: rows are
+/// `(lf, ky, kx)`, columns the small-side channels. Column-major traversal
+/// through the kernel accessor, as the reshape is defined — the
+/// specification fill the reference engines run (see
 /// [`MatmulKind::is_reference`]); tests pin it bit-identical to the
-/// row-major fill.
+/// streamed row fill.
 fn fill_weights_as_matrix_s_swapped_ref<T: Num>(m: &mut Matrix<T>, k: &Kernels<T>) {
     for sf in 0..k.n_of() {
         let mut row = 0;
@@ -645,7 +548,7 @@ fn fill_weights_as_matrix_s_swapped_ref<T: Num>(m: &mut Matrix<T>, k: &Kernels<T
     }
 }
 
-/// Fills one row `r` of the [`fill_weights_as_matrix_s_swapped`] reshape —
+/// Fills one row `r` of the [`fill_weights_as_matrix_s_swapped_ref`] reshape —
 /// the per-row form the streamed GEMM lowering pulls through
 /// [`crate::gemm`]'s row callback. Row `r` is the linear `(lf, ky, kx)`
 /// index, which is exactly the kernel tensor's within-block offset. Writes
@@ -658,55 +561,12 @@ fn fill_weights_as_matrix_s_swapped_row<T: Num>(k: &Kernels<T>, r: usize, row: &
     }
 }
 
-/// Picks the specification or cache-tuned swapped-weight fill by GEMM
-/// family.
-fn fill_weights_as_matrix_s_swapped_for<T: Num>(m: &mut Matrix<T>, k: &Kernels<T>, mm: MatmulKind) {
-    if mm.is_reference() {
-        fill_weights_as_matrix_s_swapped_ref(m, k);
-    } else {
-        fill_weights_as_matrix_s_swapped(m, k);
-    }
-}
-
 /// Backward error pass of a T-CONV layer by lowering: a plain strided
 /// `im2col` of the error GEMMed against the channel-swapped weights.
-/// Bit-identical to [`crate::t_conv_input_grad`]. No zero-inserting is
-/// involved in either formulation, so this is also the zero-free form.
-///
-/// # Errors
-///
-/// Returns an error if `delta_out.channels() != k.n_if()`.
-pub fn t_conv_input_grad_via_gemm<T: Num>(
-    delta_out: &Fmaps<T>,
-    k: &Kernels<T>,
-    geom: &ConvGeom,
-    mm: MatmulKind,
-) -> TensorResult<Fmaps<T>> {
-    if k.n_if() != delta_out.channels() {
-        return Err(ShapeError::new(format!(
-            "kernel's up-direction side is {} maps, error has {}",
-            k.n_if(),
-            delta_out.channels()
-        )));
-    }
-    let lowered = im2col_s(delta_out, geom);
-    let mut swapped = Matrix::zeros(k.n_if() * k.kh() * k.kw(), k.n_of());
-    fill_weights_as_matrix_s_swapped_for(&mut swapped, k, mm);
-    let product = mm.run(&lowered.patches, &swapped)?;
-    let (oh, ow) = lowered.out_hw;
-    let mut out = Fmaps::zeros(k.n_of(), oh, ow);
-    for sf in 0..k.n_of() {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                *out.at_mut(sf, oy, ox) = *product.at(oy * ow + ox, sf);
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// [`t_conv_input_grad_via_gemm`] with every transient drawn from the
-/// workspace. Bit-identical; the returned maps belong to the caller.
+/// Bit-identical to [`crate::t_conv_input_grad`] under a scalar GEMM. No
+/// zero-inserting is involved in either formulation, so this is also the
+/// zero-free form. Every transient comes from the workspace; the returned
+/// maps belong to the caller.
 ///
 /// # Errors
 ///
@@ -728,7 +588,7 @@ pub fn t_conv_input_grad_via_gemm_ws<T: Num>(
     let lowered = im2col_s_ws(delta_out, geom, ws);
     let product = if mm.is_reference() {
         let mut swapped = ws.take_matrix(k.n_if() * k.kh() * k.kw(), k.n_of());
-        fill_weights_as_matrix_s_swapped_for(&mut swapped, k, mm);
+        fill_weights_as_matrix_s_swapped_ref(&mut swapped, k);
         let product = mm.run_ws(&lowered.patches, &swapped, ws)?;
         ws.give_matrix(swapped);
         product
@@ -761,45 +621,13 @@ pub fn t_conv_input_grad_via_gemm_ws<T: Num>(
 
 /// `W-CONV` of an S-CONV layer by lowering: the error (as a channels ×
 /// pixels matrix) GEMMed against the forward pass's `im2col` patches.
-/// Bit-identical to [`crate::w_conv_for_s_layer`].
+/// Bit-identical to [`crate::w_conv_for_s_layer`] under a scalar GEMM.
 ///
 /// This is the form Caffe actually executes — the "zero-inserting in
 /// kernel" dilation of the textbook description never materialises, so
 /// the same routine serves both the dense-lowered and zero-free backends.
-///
-/// # Errors
-///
-/// Returns an error if `delta_out`'s spatial size does not match this
-/// geometry's forward output.
-pub fn w_conv_s_via_gemm<T: Num>(
-    input: &Fmaps<T>,
-    delta_out: &Fmaps<T>,
-    geom: &ConvGeom,
-    mm: MatmulKind,
-) -> TensorResult<Kernels<T>> {
-    let expected = geom.down_out(input.height(), input.width());
-    if (delta_out.height(), delta_out.width()) != expected {
-        return Err(ShapeError::new(format!(
-            "error map is {}×{}, expected {}×{} for this geometry",
-            delta_out.height(),
-            delta_out.width(),
-            expected.0,
-            expected.1
-        )));
-    }
-    let (oh, ow) = (delta_out.height(), delta_out.width());
-    let delta_mat = Matrix::from_vec(delta_out.channels(), oh * ow, delta_out.as_slice().to_vec());
-    let lowered = im2col_s(input, geom);
-    let product = mm.run(&delta_mat, &lowered.patches)?;
-    // The product's `of × (if·ky·kx)` row-major layout is exactly the
-    // kernel tensor's flat layout — reshape by bulk copy.
-    let mut grad = Kernels::zeros(delta_out.channels(), input.channels(), geom.kh(), geom.kw());
-    grad.as_mut_slice().copy_from_slice(product.as_slice());
-    Ok(grad)
-}
-
-/// [`w_conv_s_via_gemm`] with every transient drawn from the workspace.
-/// Bit-identical; the returned gradient belongs to the caller.
+/// Every transient comes from the workspace; the returned gradient
+/// belongs to the caller.
 ///
 /// # Errors
 ///
@@ -847,30 +675,18 @@ pub fn w_conv_s_via_gemm_ws<T: Num>(
     };
     ws.give_matrix(delta_mat);
     let mut grad = ws.take_kernels(delta_out.channels(), input.channels(), geom.kh(), geom.kw());
-    // Same flat layout on both sides (see `w_conv_s_via_gemm`).
+    // The product's `of × (if·ky·kx)` row-major layout is exactly the
+    // kernel tensor's flat layout — reshape by bulk copy.
     grad.as_mut_slice().copy_from_slice(product.as_slice());
     ws.give_matrix(product);
     Ok(grad)
 }
 
-/// Patch matrix for the zero-free `W-CONV` of a T-CONV layer: rows are the
-/// layer's *compact* input pixels `(iy, ix)`, columns `(lf, ky, kx)`, each
-/// entry the output error the pixel meets under that tap (zero outside the
-/// error map).
-fn im2col_wgrad_t<T: Num>(
-    delta_out: &Fmaps<T>,
-    geom: &ConvGeom,
-    ih: usize,
-    iw: usize,
-) -> Matrix<T> {
-    let cols = delta_out.channels() * geom.kh() * geom.kw();
-    let mut m = Matrix::zeros(ih * iw, cols);
-    fill_im2col_wgrad_t(&mut m, delta_out, geom, ih, iw);
-    m
-}
-
-/// Fills an `(ih·iw) × (lf·kh·kw)` matrix with [`im2col_wgrad_t`]'s patch
-/// layout. Writes every cell (out-of-bounds taps write an explicit zero).
+/// Patch matrix for the zero-free `W-CONV` of a T-CONV layer: fills an
+/// `(ih·iw) × (lf·kh·kw)` matrix whose rows are the layer's *compact*
+/// input pixels `(iy, ix)`, columns `(lf, ky, kx)`, each entry the output
+/// error the pixel meets under that tap. Writes every cell (taps outside
+/// the error map write an explicit zero).
 fn fill_im2col_wgrad_t<T: Num>(
     m: &mut Matrix<T>,
     delta_out: &Fmaps<T>,
@@ -899,44 +715,11 @@ fn fill_im2col_wgrad_t<T: Num>(
 }
 
 /// Zero-free `W-CONV` of a T-CONV layer: the compact input (channels ×
-/// pixels) GEMMed against [`im2col_wgrad_t`] patches of the error. The
-/// zero-inserted input of the textbook formulation is never built —
+/// pixels) GEMMed against `fill_im2col_wgrad_t` patches of the error.
+/// The zero-inserted input of the textbook formulation is never built —
 /// ZFWST's elimination, in software. Bit-identical to
-/// [`crate::w_conv_for_t_layer`].
-///
-/// # Errors
-///
-/// Returns an error if `delta_out`'s spatial size is not the up-sampled
-/// size of `input` under this geometry.
-pub fn w_conv_t_zero_free<T: Num>(
-    input: &Fmaps<T>,
-    delta_out: &Fmaps<T>,
-    geom: &ConvGeom,
-    mm: MatmulKind,
-) -> TensorResult<Kernels<T>> {
-    let expected = geom.up_out(input.height(), input.width());
-    if (delta_out.height(), delta_out.width()) != expected {
-        return Err(ShapeError::new(format!(
-            "error map is {}×{}, expected {}×{} for this geometry",
-            delta_out.height(),
-            delta_out.width(),
-            expected.0,
-            expected.1
-        )));
-    }
-    let (ih, iw) = (input.height(), input.width());
-    let input_mat = Matrix::from_vec(input.channels(), ih * iw, input.as_slice().to_vec());
-    let patches = im2col_wgrad_t(delta_out, geom, ih, iw);
-    let product = mm.run(&input_mat, &patches)?;
-    // The product's `sf × (lf·ky·kx)` row-major layout is exactly the
-    // kernel tensor's flat layout — reshape by bulk copy.
-    let mut grad = Kernels::zeros(input.channels(), delta_out.channels(), geom.kh(), geom.kw());
-    grad.as_mut_slice().copy_from_slice(product.as_slice());
-    Ok(grad)
-}
-
-/// [`w_conv_t_zero_free`] with every transient drawn from the workspace.
-/// Bit-identical; the returned gradient belongs to the caller.
+/// [`crate::w_conv_for_t_layer`] under a scalar GEMM. Every transient
+/// comes from the workspace; the returned gradient belongs to the caller.
 ///
 /// # Errors
 ///
@@ -970,7 +753,8 @@ pub fn w_conv_t_zero_free_ws<T: Num>(
     ws.give_matrix(input_mat);
     ws.give_matrix(patches);
     let mut grad = ws.take_kernels(input.channels(), delta_out.channels(), geom.kh(), geom.kw());
-    // Same flat layout on both sides (see `w_conv_t_zero_free`).
+    // The product's `sf × (lf·ky·kx)` row-major layout is exactly the
+    // kernel tensor's flat layout — reshape by bulk copy.
     grad.as_mut_slice().copy_from_slice(product.as_slice());
     ws.give_matrix(product);
     Ok(grad)
@@ -1063,7 +847,7 @@ mod tests {
         let k: Kernels<f32> = Kernels::random(5, 3, 4, 4, 1.0, &mut rng);
         let golden = t_conv(&x, &k, &geom()).unwrap();
         for mm in [MatmulKind::Naive, MatmulKind::BlockedScalar] {
-            let fast = t_conv_zero_free(&x, &k, &geom(), mm).unwrap();
+            let fast = t_conv_zero_free_ws(&x, &k, &geom(), mm, &mut ConvWorkspace::new()).unwrap();
             assert_eq!(golden, fast, "{mm:?}");
         }
     }
@@ -1103,21 +887,20 @@ mod tests {
         let x: Fmaps<f32> = Fmaps::random(3, 12, 12, 1.0, &mut rng);
         let d: Fmaps<f32> = Fmaps::random(4, 6, 6, 1.0, &mut rng);
         let golden_s = w_conv_for_s_layer(&x, &d, &g).unwrap();
-        assert_eq!(
-            golden_s,
-            w_conv_s_via_gemm(&x, &d, &g, MatmulKind::BlockedScalar).unwrap()
-        );
+        let mm = MatmulKind::BlockedScalar;
+        let ws = &mut ConvWorkspace::new();
+        assert_eq!(golden_s, w_conv_s_via_gemm_ws(&x, &d, &g, mm, ws).unwrap());
         // T layer: input 6×6 → delta 12×12.
         let xt: Fmaps<f32> = Fmaps::random(4, 6, 6, 1.0, &mut rng);
         let dt: Fmaps<f32> = Fmaps::random(3, 12, 12, 1.0, &mut rng);
         let golden_t = w_conv_for_t_layer(&xt, &dt, &g).unwrap();
         assert_eq!(
             golden_t,
-            w_conv_t_zero_free(&xt, &dt, &g, MatmulKind::BlockedScalar).unwrap()
+            w_conv_t_zero_free_ws(&xt, &dt, &g, mm, ws).unwrap()
         );
         assert_eq!(
             golden_t,
-            w_conv_t_via_zero_insert_gemm(&xt, &dt, &g, MatmulKind::BlockedScalar).unwrap()
+            w_conv_t_via_zero_insert_gemm(&xt, &dt, &g, mm).unwrap()
         );
     }
 
@@ -1128,7 +911,14 @@ mod tests {
         let d: Fmaps<f32> = Fmaps::random(3, 12, 12, 1.0, &mut rng);
         let k: Kernels<f32> = Kernels::random(5, 3, 4, 4, 1.0, &mut rng);
         let golden = t_conv_input_grad(&d, &k, &g).unwrap();
-        let fast = t_conv_input_grad_via_gemm(&d, &k, &g, MatmulKind::BlockedScalar).unwrap();
+        let fast = t_conv_input_grad_via_gemm_ws(
+            &d,
+            &k,
+            &g,
+            MatmulKind::BlockedScalar,
+            &mut ConvWorkspace::new(),
+        )
+        .unwrap();
         assert_eq!(golden, fast);
     }
 
@@ -1187,7 +977,9 @@ mod tests {
                 assert_eq!(tuned, reference, "weights, {g:?}");
             }
             let mut tuned = Matrix::zeros(k.n_if() * k.kh() * k.kw(), k.n_of());
-            fill_weights_as_matrix_s_swapped(&mut tuned, &k);
+            for r in 0..tuned.rows() {
+                fill_weights_as_matrix_s_swapped_row(&k, r, tuned.row_mut(r));
+            }
             let mut reference = Matrix::zeros(k.n_if() * k.kh() * k.kw(), k.n_of());
             fill_weights_as_matrix_s_swapped_ref(&mut reference, &k);
             assert_eq!(tuned, reference, "swapped weights, {g:?}");
@@ -1199,10 +991,11 @@ mod tests {
         let g = geom();
         let x: Fmaps<f32> = Fmaps::zeros(2, 6, 6);
         let k: Kernels<f32> = Kernels::zeros(5, 3, 4, 4);
-        assert!(t_conv_zero_free(&x, &k, &g, MatmulKind::Blocked).is_err());
+        let (mm, ws) = (MatmulKind::Blocked, &mut ConvWorkspace::new());
+        assert!(t_conv_zero_free_ws(&x, &k, &g, mm, ws).is_err());
         let bad: Fmaps<f32> = Fmaps::zeros(3, 5, 5);
-        assert!(w_conv_s_via_gemm(&x, &bad, &g, MatmulKind::Blocked).is_err());
-        assert!(w_conv_t_zero_free(&x, &bad, &g, MatmulKind::Blocked).is_err());
+        assert!(w_conv_s_via_gemm_ws(&x, &bad, &g, mm, ws).is_err());
+        assert!(w_conv_t_zero_free_ws(&x, &bad, &g, mm, ws).is_err());
         assert!(w_conv_t_via_zero_insert_gemm(&x, &bad, &g, MatmulKind::Blocked).is_err());
     }
 }

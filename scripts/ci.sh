@@ -12,8 +12,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "=== cargo build --release ==="
 cargo build --release
 
-echo "=== cargo test ==="
-cargo test -q
+echo "=== cargo test (every crate) ==="
+cargo test --workspace -q
+
+echo "=== pool, tensor and nn suites on four pool threads ==="
+# The CI host may have one core, which gives the pool a single worker and
+# hides cross-worker races; a fixed budget of four threads interleaves
+# three workers plus the submitter over the pooled GEMM and conv paths.
+ZFGAN_THREADS=4 cargo test -q -p zfgan-pool -p zfgan-tensor -p zfgan-nn
 
 echo "=== tensor suite under ZFGAN_NO_SIMD=1 ==="
 # The portable scalar kernels must pass the same suite as the runtime-

@@ -14,7 +14,9 @@ pub use crate::telemetry::http::{scrape, serve_on};
 
 /// Binds `addr` and serves until `max_requests` requests are handled
 /// (forever when `None`). Prints the bound address before serving so a
-/// scraper knows where to connect even with `--addr 127.0.0.1:0`.
+/// scraper knows where to connect even with `--addr 127.0.0.1:0`, and
+/// turns the process-global registry on so anything else the process
+/// records while serving lands on the served page.
 ///
 /// # Errors
 ///
@@ -25,5 +27,6 @@ pub fn run_serve(addr: &str, max_requests: Option<u64>) -> Result<String, String
         .local_addr()
         .map_err(|e| format!("--addr {addr}: {e}"))?;
     println!("serving metrics on http://{local}/metrics (also /health); ctrl-c to stop");
+    crate::telemetry::set_enabled(true);
     serve_on(listener, max_requests)
 }

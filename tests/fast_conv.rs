@@ -19,7 +19,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use zfgan::tensor::gemm::{matmul_parallel, MatmulKind};
+use zfgan::tensor::gemm::MatmulKind;
 use zfgan::tensor::im2col::Matrix;
 use zfgan::tensor::{ConvBackend, ConvGeom, Fmaps, Fx, Kernels};
 
@@ -191,7 +191,7 @@ proptest! {
         prop_assert_eq!(&naive, &MatmulKind::BlockedScalar.run(&a, &b).unwrap());
 
         let blocked = MatmulKind::Blocked.run(&a, &b).unwrap();
-        prop_assert_eq!(&blocked, &matmul_parallel(&a, &b, threads).unwrap());
+        prop_assert_eq!(&blocked, &MatmulKind::Parallel(threads).run(&a, &b).unwrap());
         // Operands are in [-1, 1], so each output element is a reduction
         // of kk unit-scale terms: |fused - naive| <= 2 * kk^2 * eps.
         let bound = f64::from(2.0 * (kk * kk) as f32 * f32::EPSILON).max(1e-6);
@@ -207,7 +207,7 @@ proptest! {
         let naive_fx = MatmulKind::Naive.run(&afx, &bfx).unwrap();
         prop_assert_eq!(&naive_fx, &MatmulKind::BlockedScalar.run(&afx, &bfx).unwrap());
         prop_assert_eq!(&naive_fx, &MatmulKind::Blocked.run(&afx, &bfx).unwrap());
-        prop_assert_eq!(&naive_fx, &matmul_parallel(&afx, &bfx, threads).unwrap());
+        prop_assert_eq!(&naive_fx, &MatmulKind::Parallel(threads).run(&afx, &bfx).unwrap());
     }
 
     /// The three dispatch engines (packed panel, broadcast-FMA `ikj`,
