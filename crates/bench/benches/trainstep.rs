@@ -1,19 +1,19 @@
 //! Full GAN training-step latency on the MNIST-GAN spec: scalar vs packed
-//! SIMD GEMM, allocating vs workspace-reusing conv scratch, sequential vs
-//! pooled GEMM.
+//! SIMD GEMM, allocating vs workspace-reusing conv scratch, shape-aware
+//! dispatch vs the packed path alone.
 //!
 //! The scalar reference (`ws_scalar`, [`ConvBackend::ScalarRef`]) is the
 //! *reference engine* end to end: the specification fill/reshape loops
 //! (see `MatmulKind::is_reference`) over the retained blocked-scalar GEMM,
 //! with workspace reuse. That keeps its cost model pinned to the
-//! pre-microkernel engine, so its ratio to `ws_pool2` measures what this
+//! pre-microkernel engine, so its ratio to `ws_seq` measures what this
 //! engine — cache-aware fills plus the packed SIMD microkernel — buys the
 //! full train step. The packed variants compute bit-identical updates to
 //! each other (`tests/determinism.rs`); `ws_scalar` agrees within the
 //! fused-accumulation bound. Emits
 //! `results/BENCH_trainstep.json` via [`zfgan_bench::emit`] with
 //! min/mean/stddev per row (the host is a noisy shared core — `min_ns`
-//! carries the stable signal) plus thread-count and SIMD-level metadata.
+//! carries the stable signal) plus SIMD-level metadata.
 
 use std::time::Duration;
 
@@ -54,13 +54,11 @@ fn main() {
         ("alloc_seq", ConvBackend::LoweredZeroFree, false),
         ("ws_scalar", ConvBackend::ScalarRef, true),
         ("ws_seq", ConvBackend::LoweredZeroFree, true),
-        ("alloc_pool2", ConvBackend::Parallel(2), false),
-        ("ws_pool2", ConvBackend::Parallel(2), true),
         // The pre-dispatch engine: every GEMM forced through the packed
-        // panel path, so ws_pool2 / packedonly_pool2 isolates what the
+        // panel path, so ws_seq / packedonly_seq isolates what the
         // shape-aware dispatcher (ikj pack bypass, small-m streaming)
         // buys the full train step on identical code otherwise.
-        ("packedonly_pool2", ConvBackend::Parallel(2), true),
+        ("packedonly_seq", ConvBackend::LoweredZeroFree, true),
     ] {
         let mut rng = SmallRng::seed_from_u64(29);
         let mut pair = spec
@@ -69,7 +67,7 @@ fn main() {
         pair.set_backend(backend);
         let mut trainer = GanTrainer::new(pair, config);
         trainer.set_workspace_reuse(reuse);
-        if name == "packedonly_pool2" {
+        if name == "packedonly_seq" {
             set_forced_path(Some(GemmPath::Packed));
         }
         group.bench_function(name, |bch| {
@@ -85,7 +83,6 @@ fn main() {
         .find(|m| m.id == "trainstep/alloc_seq")
         .expect("baseline bench runs first")
         .mean_ns;
-    let threads_of = |id: &str| if id.ends_with("pool2") { 2 } else { 1 };
     let mut rows: Vec<BenchRow> = measurements
         .iter()
         .map(|m| BenchRow {
@@ -95,7 +92,7 @@ fn main() {
             min_ns: m.min_ns,
             stddev_ns: m.stddev_ns,
             iters: m.iters,
-            threads: threads_of(&m.id),
+            threads: 1,
             simd: simd_label().to_string(),
             speedup: base / m.mean_ns,
             git_sha: String::new(),
@@ -110,17 +107,17 @@ fn main() {
     }
     emit_bench(
         "BENCH_trainstep",
-        "GAN training step: scalar vs packed SIMD, allocating vs workspace scratch, sequential vs pooled GEMM",
+        "GAN training step: scalar vs packed SIMD, allocating vs workspace scratch, dispatch vs packed-only",
         &table,
         &mut rows,
     );
 
     let headline = |id: &str| rows.iter().find(|r| r.id == id).map_or(0.0, |r| r.speedup);
     println!(
-        "Training-step speedup over allocating sequential: scalar-ref {} | ws {} | ws+pool2 {}",
+        "Training-step speedup over allocating sequential: scalar-ref {} | ws {} | packed-only {}",
         fmt_x(headline("trainstep/ws_scalar")),
         fmt_x(headline("trainstep/ws_seq")),
-        fmt_x(headline("trainstep/ws_pool2")),
+        fmt_x(headline("trainstep/packedonly_seq")),
     );
 
     let min_of = |id: &str| {
@@ -129,16 +126,13 @@ fn main() {
             .map_or(f64::INFINITY, |r| r.min_ns)
     };
 
-    // Regression gate: workspace reuse must beat allocating scratch at
-    // identical threading (pool2 vs pool2). Comparing against `alloc_seq`
-    // instead would entangle the workspace win with the pool's fixed
-    // dispatch overhead, which on a one-core CI host is pure penalty and
-    // now outweighs the reuse margin since dispatch shrank the compute
-    // under it. Fastest-sample ratio for the usual noisy-host reason.
-    let s = min_of("trainstep/alloc_pool2") / min_of("trainstep/ws_pool2");
+    // Regression gate: workspace reuse must beat allocating scratch on
+    // otherwise identical code. Fastest-sample ratio for the usual
+    // noisy-host reason.
+    let s = min_of("trainstep/alloc_seq") / min_of("trainstep/ws_seq");
     assert!(
         s > 1.0,
-        "workspace+pool training step lost to its allocating twin: {}",
+        "workspace training step lost to its allocating twin: {}",
         fmt_x(s)
     );
 
@@ -147,9 +141,9 @@ fn main() {
     // engine (specification fills + blocked-scalar GEMM, same workspace
     // reuse). Fastest-sample ratio for the same noisy-host reason as the
     // gemm bench gates; exempt under ZFGAN_NO_SIMD=1.
-    let s = min_of("trainstep/ws_scalar") / min_of("trainstep/ws_pool2");
+    let s = min_of("trainstep/ws_scalar") / min_of("trainstep/ws_seq");
     println!(
-        "Packed train-step gate ws_pool2 vs ws_scalar: {} vs >=2x (simd: {})",
+        "Packed train-step gate ws_seq vs ws_scalar: {} vs >=2x (simd: {})",
         fmt_x(s),
         simd_label()
     );
@@ -163,9 +157,9 @@ fn main() {
     // small-m streamed lowering) must buy the full train step >=1.15x
     // over the same engine with every GEMM forced through the packed
     // panel path. Fastest-sample ratio, avx2-only, as above.
-    let s = min_of("trainstep/packedonly_pool2") / min_of("trainstep/ws_pool2");
+    let s = min_of("trainstep/packedonly_seq") / min_of("trainstep/ws_seq");
     println!(
-        "Dispatch train-step gate ws_pool2 vs packedonly_pool2: {} vs >=1.15x (simd: {})",
+        "Dispatch train-step gate ws_seq vs packedonly_seq: {} vs >=1.15x (simd: {})",
         fmt_x(s),
         simd_label()
     );

@@ -3,8 +3,8 @@
 //!
 //! Runs every conv op (S/T forward, both input-grads, both W-CONV
 //! gradients) in Q8.8 fixed point over MNIST-GAN-shaped and
-//! boundary-heavy geometries, through both packed-engine backends
-//! (sequential and pooled), and prints an FNV-1a digest of each result's
+//! boundary-heavy geometries, through the default packed-engine backend,
+//! and prints an FNV-1a digest of each result's
 //! raw `i16` payload plus a few sampled raw values.
 //!
 //! The output is a pure function of the fixed seed: no timestamps, no
@@ -32,10 +32,10 @@ fn digest(raw: impl Iterator<Item = i16>) -> u64 {
     h
 }
 
-fn report(label: &str, backend: &str, raw: &[Fx]) {
+fn report(label: &str, raw: &[Fx]) {
     let head: Vec<i16> = raw.iter().take(4).map(|v| v.raw()).collect();
     println!(
-        "{label:<28} {backend:<6} digest {:016x}  head {head:?}",
+        "{label:<28} digest {:016x}  head {head:?}",
         digest(raw.iter().map(|v| v.raw()))
     );
 }
@@ -71,45 +71,39 @@ fn rand_kernels(n_of: usize, n_if: usize, kh: usize, kw: usize, rng: &mut SmallR
 /// small side back up.
 fn sweep_geom(tag: &str, geom: &ConvGeom, n_small: usize, n_large: usize, ih: usize, iw: usize) {
     let mut ws: ConvWorkspace<Fx> = ConvWorkspace::new();
-    for (bname, be) in [
-        ("seq", ConvBackend::LoweredZeroFree),
-        ("pool2", ConvBackend::Parallel(2)),
-    ] {
-        // Re-seed per backend so both backends see identical operands —
-        // their digests must agree line for line as well.
-        let mut rng = SmallRng::seed_from_u64(0x5eed);
-        let x = rand_fmaps(n_large, ih, iw, &mut rng);
-        let k = rand_kernels(n_small, n_large, geom.kh(), geom.kw(), &mut rng);
-        let (oh, ow) = geom.down_out(ih, iw);
-        let d_small = rand_fmaps(n_small, oh, ow, &mut rng);
+    let be = ConvBackend::LoweredZeroFree;
+    let mut rng = SmallRng::seed_from_u64(0x5eed);
+    let x = rand_fmaps(n_large, ih, iw, &mut rng);
+    let k = rand_kernels(n_small, n_large, geom.kh(), geom.kw(), &mut rng);
+    let (oh, ow) = geom.down_out(ih, iw);
+    let d_small = rand_fmaps(n_small, oh, ow, &mut rng);
 
-        let fwd = be.s_conv_ws(&x, &k, geom, &mut ws).unwrap();
-        report(&format!("{tag}/s_conv"), bname, fwd.as_slice());
-        let dg = be
-            .s_conv_input_grad_ws(&d_small, &k, geom, ih, iw, &mut ws)
-            .unwrap();
-        report(&format!("{tag}/s_input_grad"), bname, dg.as_slice());
-        let wg = be
-            .w_conv_for_s_layer_ws(&x, &d_small, geom, &mut ws)
-            .unwrap();
-        report(&format!("{tag}/s_wgrad"), bname, wg.as_slice());
-        ws.give_fmaps(dg);
+    let fwd = be.s_conv_ws(&x, &k, geom, &mut ws).unwrap();
+    report(&format!("{tag}/s_conv"), fwd.as_slice());
+    let dg = be
+        .s_conv_input_grad_ws(&d_small, &k, geom, ih, iw, &mut ws)
+        .unwrap();
+    report(&format!("{tag}/s_input_grad"), dg.as_slice());
+    let wg = be
+        .w_conv_for_s_layer_ws(&x, &d_small, geom, &mut ws)
+        .unwrap();
+    report(&format!("{tag}/s_wgrad"), wg.as_slice());
+    ws.give_fmaps(dg);
 
-        let up = be.t_conv_ws(&fwd, &k, geom, &mut ws).unwrap();
-        report(&format!("{tag}/t_conv"), bname, up.as_slice());
-        let d_large = rand_fmaps(n_large, up.height(), up.width(), &mut rng);
-        let tg = be
-            .t_conv_input_grad_ws(&d_large, &k, geom, &mut ws)
-            .unwrap();
-        report(&format!("{tag}/t_input_grad"), bname, tg.as_slice());
-        let wt = be
-            .w_conv_for_t_layer_ws(&fwd, &d_large, geom, &mut ws)
-            .unwrap();
-        report(&format!("{tag}/t_wgrad"), bname, wt.as_slice());
-        ws.give_fmaps(fwd);
-        ws.give_fmaps(up);
-        ws.give_fmaps(tg);
-    }
+    let up = be.t_conv_ws(&fwd, &k, geom, &mut ws).unwrap();
+    report(&format!("{tag}/t_conv"), up.as_slice());
+    let d_large = rand_fmaps(n_large, up.height(), up.width(), &mut rng);
+    let tg = be
+        .t_conv_input_grad_ws(&d_large, &k, geom, &mut ws)
+        .unwrap();
+    report(&format!("{tag}/t_input_grad"), tg.as_slice());
+    let wt = be
+        .w_conv_for_t_layer_ws(&fwd, &d_large, geom, &mut ws)
+        .unwrap();
+    report(&format!("{tag}/t_wgrad"), wt.as_slice());
+    ws.give_fmaps(fwd);
+    ws.give_fmaps(up);
+    ws.give_fmaps(tg);
 }
 
 fn main() {

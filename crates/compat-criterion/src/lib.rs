@@ -1,7 +1,6 @@
-//! Offline stand-in for the slice of `criterion` this workspace uses:
-//! `Criterion`, `benchmark_group`/`bench_function`, `Bencher::{iter,
-//! iter_batched}`, `BatchSize`, `black_box`, and the
-//! `criterion_group!`/`criterion_main!` macros.
+//! Offline stand-in for the slice of `criterion` the ledger bench
+//! harnesses use: `Criterion`, `benchmark_group`/`bench_function`,
+//! `Bencher::iter`, and [`Criterion::take_results`].
 //!
 //! The measurement model is deliberately simple: a short calibration run
 //! sizes the iteration count to a fixed measurement window, a warm-up
@@ -18,20 +17,7 @@
 
 use std::time::{Duration, Instant};
 
-/// Re-export of `std::hint::black_box`, criterion's optimisation barrier.
-pub use std::hint::black_box;
-
-/// How `iter_batched` amortises setup cost; the shim re-runs setup per
-/// batch regardless, so the variants only document intent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchSize {
-    /// Small per-iteration inputs (many iterations per setup).
-    SmallInput,
-    /// Large per-iteration inputs (few iterations per setup).
-    LargeInput,
-    /// Setup re-runs every iteration.
-    PerIteration,
-}
+use std::hint::black_box;
 
 /// One recorded measurement: benchmark id → per-iteration time statistics
 /// over the sampled measurement window.
@@ -179,8 +165,7 @@ enum Mode {
     Measure,
 }
 
-/// Passed to every benchmark closure; `iter`/`iter_batched` time the
-/// routine.
+/// Passed to every benchmark closure; `iter` times the routine.
 #[derive(Debug)]
 pub struct Bencher {
     mode: Mode,
@@ -211,48 +196,6 @@ impl Bencher {
         self.per_iter_ns = total / iters as f64;
         self.iters_done = iters;
     }
-
-    /// Times `routine` on fresh inputs from `setup` (setup time excluded).
-    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
-    where
-        S: FnMut() -> I,
-        R: FnMut(I) -> O,
-    {
-        let iters = self.target_iters();
-        let mut total_ns = 0.0;
-        for _ in 0..iters {
-            let input = setup();
-            let start = Instant::now();
-            black_box(routine(input));
-            total_ns += start.elapsed().as_nanos() as f64;
-        }
-        self.per_iter_ns = total_ns / iters as f64;
-        self.iters_done = iters;
-    }
-}
-
-/// Declares a named group of benchmark functions, like upstream's simple
-/// form: `criterion_group!(benches, bench_a, bench_b);`.
-#[macro_export]
-macro_rules! criterion_group {
-    ($group:ident, $($target:path),+ $(,)?) => {
-        fn $group(c: &mut $crate::Criterion) {
-            $( $target(c); )+
-        }
-    };
-}
-
-/// Declares the bench binary's `main`, running each group.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            // cargo bench passes harness flags (e.g. `--bench`); a custom
-            // harness is free to ignore them.
-            let mut c = $crate::Criterion::default();
-            $( $group(&mut c); )+
-        }
-    };
 }
 
 #[cfg(test)]
@@ -281,9 +224,7 @@ mod tests {
     fn groups_prefix_ids() {
         let mut c = Criterion::default().measurement_time(Duration::from_millis(2));
         let mut g = c.benchmark_group("g");
-        g.bench_function("f", |b| {
-            b.iter_batched(|| 10u64, spin, BatchSize::SmallInput)
-        });
+        g.bench_function("f", |b| b.iter(|| spin(10)));
         g.finish();
         assert_eq!(c.take_results()[0].id, "g/f");
     }

@@ -16,12 +16,10 @@
 //! 3. **Check** — losses must be finite and bounded, the Wasserstein
 //!    estimate must not collapse, every parameter must be finite and
 //!    bounded.
-//! 4. **Recover** — on any anomaly: roll back, restore the RNG, retry
-//!    (bounded by [`SupervisorConfig::max_retries`]). A panic
-//!    additionally *degrades* the convolution backend —
-//!    `Parallel(n) → Parallel(n/2) → LoweredZeroFree` — on the theory
-//!    that the thread pool, not the math, is what failed. All backends
-//!    are bit-identical, so degradation changes throughput only.
+//! 4. **Recover** — on any anomaly, a panic included (as
+//!    [`Anomaly::WorkerPanic`]): roll back, re-apply the selected
+//!    convolution backend, restore the RNG, retry (bounded by
+//!    [`SupervisorConfig::max_retries`]).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -139,8 +137,6 @@ pub struct SupervisorStats {
     pub rollbacks: u64,
     /// Re-executions after a rollback.
     pub retries: u64,
-    /// Backend degradations after panics.
-    pub degradations: u64,
 }
 
 /// Why supervised training stopped.
@@ -280,14 +276,14 @@ impl SupervisedTrainer {
         &self.stats
     }
 
-    /// The currently active convolution backend (possibly degraded).
+    /// The currently active convolution backend.
     pub fn backend(&self) -> ConvBackend {
         self.backend
     }
 
     /// Selects the convolution backend. The supervisor remembers it so a
     /// rollback (which restores snapshotted layers, carrying *their*
-    /// backend) re-applies the active — possibly degraded — choice.
+    /// backend) re-applies the active choice.
     pub fn set_backend(&mut self, backend: ConvBackend) {
         self.backend = backend;
         self.trainer.gan_mut().set_backend(backend);
@@ -323,12 +319,9 @@ impl SupervisedTrainer {
             let outcome = catch_unwind(AssertUnwindSafe(|| trainer.train_iteration(batch, rng)));
 
             let anomaly = match outcome {
-                Err(_) => {
-                    // The trainer may be mid-update; only the rollback
-                    // below makes its state trustworthy again.
-                    self.degrade_backend();
-                    Some(Anomaly::WorkerPanic)
-                }
+                // The trainer may be mid-update; only the rollback below
+                // makes its state trustworthy again.
+                Err(_) => Some(Anomaly::WorkerPanic),
                 Ok(reports) => {
                     self.inject_fault(step_index);
                     match self.health_check(&reports.0, &reports.1) {
@@ -360,21 +353,6 @@ impl SupervisedTrainer {
                 self.stats.retries += 1;
                 zfgan_telemetry::count("supervisor_retries_total", &[], 1);
             }
-        }
-    }
-
-    /// Halves the parallel backend's thread count (floor: sequential
-    /// zero-free) after a panic: if a worker died, fewer workers is the
-    /// bit-identical way to keep going.
-    fn degrade_backend(&mut self) {
-        if let ConvBackend::Parallel(n) = self.backend {
-            self.backend = if n > 2 {
-                ConvBackend::Parallel(n / 2)
-            } else {
-                ConvBackend::LoweredZeroFree
-            };
-            self.stats.degradations += 1;
-            zfgan_telemetry::count("supervisor_degradations_total", &[], 1);
         }
     }
 
@@ -574,18 +552,38 @@ mod tests {
     }
 
     #[test]
-    fn panic_degrades_parallel_backend() {
+    fn panicking_iteration_rolls_back_and_exhausts_retries() {
+        // Batch 0 panics inside the trainer ("batch must be non-empty") on
+        // every attempt, so each one is contained as a worker panic.
         let mut sup = supervised(38, None);
-        sup.set_backend(ConvBackend::Parallel(8));
-        sup.degrade_backend();
-        assert_eq!(sup.backend(), ConvBackend::Parallel(4));
-        sup.degrade_backend();
-        assert_eq!(sup.backend(), ConvBackend::Parallel(2));
-        sup.degrade_backend();
-        assert_eq!(sup.backend(), ConvBackend::LoweredZeroFree);
-        sup.degrade_backend();
-        assert_eq!(sup.backend(), ConvBackend::LoweredZeroFree);
-        assert_eq!(sup.stats().degradations, 3);
+        let backend = sup.backend();
+        let bits = |sup: &SupervisedTrainer| -> Vec<u32> {
+            let gan = sup.trainer().gan();
+            [gan.generator(), gan.discriminator()]
+                .into_iter()
+                .flat_map(|net| net.layers())
+                .flat_map(|l| l.weights().as_slice().iter().chain(l.bias().iter()))
+                .map(|w| w.to_bits())
+                .collect()
+        };
+        let before = bits(&sup);
+        let mut rng = SmallRng::seed_from_u64(39);
+        let max_retries = SupervisorConfig::default().max_retries;
+        let err = sup.train_iteration(0, &mut rng).unwrap_err();
+        assert_eq!(
+            err,
+            SupervisorError::RetriesExhausted {
+                attempts: max_retries + 1,
+                last_anomaly: Anomaly::WorkerPanic,
+            }
+        );
+        let stats = *sup.stats();
+        assert_eq!(stats.anomalies, (max_retries + 1) as u64, "{stats:?}");
+        assert_eq!(stats.rollbacks, (max_retries + 1) as u64, "{stats:?}");
+        assert_eq!(stats.retries, max_retries as u64, "{stats:?}");
+        assert_eq!(stats.iterations, 0, "{stats:?}");
+        assert_eq!(sup.backend(), backend);
+        assert_eq!(bits(&sup), before);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! `zfgan-pool` — a persistent, lazily-initialized, process-global worker
-//! pool for the data-parallel hot paths (`MatmulKind::Parallel`, `par_map`,
-//! `parallel_dis_grads`).
+//! pool for the data-parallel hot paths (the executor engine's output
+//! groups, the DSE miss fan-out, `par_map`, `parallel_dis_grads`). Its
+//! width, [`pool_threads`] (`ZFGAN_THREADS`, else the hardware thread
+//! count), is the one parallelism setting in the codebase.
 //!
-//! Before this crate existed every parallel call site spawned and joined
-//! fresh OS threads, which made the parallel GEMM variants *slower* than the
-//! naive loop at layer-sized shapes. The pool spawns `pool_threads() - 1`
-//! workers once, on first use, and keeps them parked on a condvar between
-//! batches, so dispatch cost is a few mutex operations instead of a
-//! `clone`+`spawn`+`join` round trip per call.
+//! The pool spawns `pool_threads() - 1` workers once, on first use, and
+//! keeps them parked on a condvar between batches, so dispatch cost is a
+//! few mutex operations instead of a `clone`+`spawn`+`join` round trip per
+//! call.
 //!
 //! # Execution model
 //!
@@ -17,8 +17,8 @@
 //! back-first. The submitting thread never blocks idly while its batch is in
 //! flight: it *helps*, draining queued tasks (preferring its own batch) until
 //! every task of its batch has finished. This makes nested submission safe —
-//! a pooled `parallel_dis_grads` job whose conv layers use the pooled GEMM
-//! backend cannot deadlock, because every blocked submitter is also a worker.
+//! a pool task that submits its own batch cannot deadlock, because every
+//! blocked submitter is also a worker.
 //!
 //! # Determinism contract
 //!
@@ -434,53 +434,9 @@ where
 }
 
 /// Splits `data` into consecutive chunks of `chunk_len` (the last may be
-/// shorter), runs `f(chunk_index, chunk)` for each on the pool, and returns
-/// the per-chunk results in chunk order. The chunking is identical to
-/// `data.chunks_mut(chunk_len)`, so callers can keep their sequential
-/// partitioning (and hence their reduction order) unchanged.
-///
-/// # Panics
-///
-/// Panics if `chunk_len == 0` and `data` is non-empty.
-pub fn parallel_chunks_mut<T, R, F>(
-    data: &mut [T],
-    chunk_len: usize,
-    f: F,
-) -> Result<Vec<R>, PoolError>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-{
-    if data.is_empty() {
-        return Ok(Vec::new());
-    }
-    assert!(chunk_len > 0, "chunk_len must be positive");
-    let len = data.len();
-    let n = len.div_ceil(chunk_len);
-    let base = SendPtr(data.as_mut_ptr());
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let out = SendPtr(slots.as_mut_ptr());
-    run_batch(n, &|i| {
-        let start = i * chunk_len;
-        let end = (start + chunk_len).min(len);
-        // SAFETY: chunks [start, end) are pairwise disjoint across indices
-        // and in bounds; `data` outlives the batch.
-        let chunk = unsafe { std::slice::from_raw_parts_mut(base.add(start), end - start) };
-        let r = f(i, chunk);
-        // SAFETY: as in parallel_map — one slot per index.
-        unsafe { *out.add(i) = Some(r) };
-    })?;
-    Ok(slots
-        .into_iter()
-        .map(|s| s.expect("every pool task fills its slot"))
-        .collect())
-}
-
-/// [`parallel_chunks_mut`] without result collection: runs
-/// `f(chunk_index, chunk)` for each chunk and returns nothing, so the call
-/// itself performs **no heap allocation** — the primitive the
+/// shorter, exactly as `data.chunks_mut(chunk_len)`) and runs
+/// `f(chunk_index, chunk)` for each on the pool. Returns nothing, so the
+/// call itself performs **no heap allocation** — the primitive the
 /// zero-allocation executor hot path in `zfgan-dataflow` fans out on.
 /// Tasks that need to report back do so through caller-owned state
 /// (disjoint chunk writes, or commutative atomics).
@@ -546,26 +502,6 @@ mod tests {
         let out = parallel_map(100, |i| i * i).unwrap();
         assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
         assert!(parallel_map(0, |i| i).unwrap().is_empty());
-    }
-
-    #[test]
-    fn chunks_mut_partitions_like_chunks_mut() {
-        let mut data: Vec<u64> = (0..103).collect();
-        let sums = parallel_chunks_mut(&mut data, 10, |ci, chunk| {
-            for v in chunk.iter_mut() {
-                *v += 1;
-            }
-            (ci, chunk.len())
-        })
-        .unwrap();
-        assert_eq!(data, (1..104).collect::<Vec<u64>>());
-        assert_eq!(sums.len(), 11);
-        assert_eq!(sums[10], (10, 3));
-        assert!(sums[..10].iter().all(|&(_, l)| l == 10));
-        let mut empty: Vec<u64> = Vec::new();
-        assert!(parallel_chunks_mut(&mut empty, 4, |_, _| 0)
-            .unwrap()
-            .is_empty());
     }
 
     #[test]

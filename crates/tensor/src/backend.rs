@@ -6,14 +6,13 @@
 //! in [`crate::conv`] for every element type (see [`crate::gemm`] for why
 //! scalar blocking preserves bits, and [`crate::zero_free`] for why
 //! skipping the inserted zeros does). The packed-microkernel backends
-//! ([`ConvBackend::LoweredGemm`], [`ConvBackend::LoweredZeroFree`],
-//! [`ConvBackend::Parallel`]) are bit-identical to *each other* for every
-//! thread count and SIMD level, bit-identical to golden for `Fx` and
-//! `f64`, and within the fused-accumulation error bound of golden for
-//! `f32` — the packed f32 kernel owns its accumulation order (see
-//! [`crate::microkernel`]). The golden nests stay the oracle the dataflow
-//! executors validate against; the lowered backends are what training
-//! actually runs.
+//! ([`ConvBackend::LoweredGemm`], [`ConvBackend::LoweredZeroFree`]) are
+//! bit-identical to *each other* for every pool width and SIMD level,
+//! bit-identical to golden for `Fx` and `f64`, and within the
+//! fused-accumulation error bound of golden for `f32` — the packed f32
+//! kernel owns its accumulation order (see [`crate::microkernel`]). The
+//! golden nests stay the oracle the dataflow executors validate against;
+//! the lowered backends are what training actually runs.
 
 use serde::{Deserialize, Serialize};
 
@@ -51,10 +50,6 @@ pub enum ConvBackend {
     /// inserted zeros are never built — the software mirror of
     /// ZFOST/ZFWST.
     LoweredZeroFree,
-    /// [`ConvBackend::LoweredZeroFree`] with the GEMM split over this
-    /// many pooled threads (clamped to the available rows; deterministic
-    /// for every thread count).
-    Parallel(usize),
 }
 
 impl Default for ConvBackend {
@@ -74,7 +69,6 @@ impl ConvBackend {
             ConvBackend::GoldenDirect => MatmulKind::Naive,
             ConvBackend::ScalarRef => MatmulKind::BlockedScalar,
             ConvBackend::LoweredGemm | ConvBackend::LoweredZeroFree => MatmulKind::Blocked,
-            ConvBackend::Parallel(n) => MatmulKind::Parallel(n),
         }
     }
 
@@ -218,7 +212,7 @@ impl ConvBackend {
                 }
                 self.dense_t_lowering(im2col_t(input, geom), k, ws)
             }
-            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
+            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree => {
                 zero_free::t_conv_zero_free_ws(input, k, geom, self.mm(), ws)
             }
         }
@@ -248,7 +242,7 @@ impl ConvBackend {
                 let lowered = im2col_t_with_output_size(delta_out, geom, in_h, in_w);
                 self.dense_t_lowering(lowered, k, ws)
             }
-            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
+            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree => {
                 zero_free::t_conv_zero_free_sized_ws(delta_out, k, geom, in_h, in_w, self.mm(), ws)
             }
         }
@@ -313,7 +307,7 @@ impl ConvBackend {
             ConvBackend::LoweredGemm => {
                 zero_free::w_conv_t_via_zero_insert_gemm(input, delta_out, geom, self.mm())
             }
-            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree | ConvBackend::Parallel(_) => {
+            ConvBackend::ScalarRef | ConvBackend::LoweredZeroFree => {
                 zero_free::w_conv_t_zero_free_ws(input, delta_out, geom, self.mm(), ws)
             }
         }
@@ -351,21 +345,16 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
-    const ALL: [ConvBackend; 5] = [
+    const ALL: [ConvBackend; 4] = [
         ConvBackend::GoldenDirect,
         ConvBackend::ScalarRef,
         ConvBackend::LoweredGemm,
         ConvBackend::LoweredZeroFree,
-        ConvBackend::Parallel(4),
     ];
 
     /// The packed-microkernel family: bit-identical to each other, within
     /// the fused-accumulation bound of golden for f32.
-    const PACKED: [ConvBackend; 3] = [
-        ConvBackend::LoweredGemm,
-        ConvBackend::LoweredZeroFree,
-        ConvBackend::Parallel(4),
-    ];
+    const PACKED: [ConvBackend; 2] = [ConvBackend::LoweredGemm, ConvBackend::LoweredZeroFree];
 
     fn geom() -> ConvGeom {
         ConvGeom::down(10, 10, 4, 4, 2, 5, 5).unwrap()

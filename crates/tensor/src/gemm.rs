@@ -10,8 +10,8 @@
 //!   sequential in ascending order with the same `a.is_zero()` operand
 //!   skip. This is the scalar oracle the packed kernels are measured
 //!   against, and the honest baseline for the microkernel speedup gates.
-//! * [`MatmulKind::Blocked`] / [`MatmulKind::Parallel`] — the **packed
-//!   SIMD microkernel** ([`crate::microkernel`]) for `f32` and [`Fx`]
+//! * [`MatmulKind::Blocked`] — the **packed SIMD microkernel**
+//!   ([`crate::microkernel`]) for `f32` and [`Fx`]
 //!   operands; other element types (the `f64` validation paths) fall back
 //!   to the scalar blocked kernel and keep its naive bit-identity.
 //!
@@ -36,12 +36,6 @@
 //! and the Q8.8 term of a zero operand is exactly zero — so the per-panel
 //! structural-zero masks (the paper's zero-free scheduling composed with
 //! SIMD) are pure performance freedom, never a semantics choice.
-//!
-//! The parallel variant packs once on the calling thread, then splits the
-//! *output rows* into contiguous chunks, one persistent-pool task per
-//! chunk (`zfgan-pool`). Panels run along `k` within a row, so any row
-//! partition trivially preserves bits for every thread count and pool
-//! schedule.
 //!
 //! Caveat: the "skipping a zero operand is bit-neutral" argument assumes
 //! finite values. A zero activation times an infinite/NaN weight would
@@ -71,10 +65,10 @@ const COL_BLOCK: usize = 128;
 /// How a lowered convolution multiplies its patch and weight matrices.
 ///
 /// `Naive` and `BlockedScalar` are bit-identical to each other for every
-/// element type; `Blocked` and `Parallel` run the packed microkernel for
-/// `f32`/`Fx` (bit-identical to *each other* for every thread count and
-/// SIMD level, bit-identical to the scalar pair for `Fx`, and within the
-/// accumulation-error bound of it for `f32`) — see the module docs.
+/// element type; `Blocked` runs the packed microkernel for `f32`/`Fx`
+/// (bit-identical for every thread count and SIMD level, bit-identical to
+/// the scalar pair for `Fx`, and within the accumulation-error bound of
+/// it for `f32`) — see the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatmulKind {
     /// The plain triple loop ([`Matrix::matmul`]).
@@ -86,9 +80,6 @@ pub enum MatmulKind {
     /// The packed SIMD microkernel, single-threaded (scalar blocked
     /// fallback for element types without a packed kernel).
     Blocked,
-    /// The packed SIMD microkernel over row chunks on this many pooled
-    /// threads.
-    Parallel(usize),
 }
 
 impl MatmulKind {
@@ -137,9 +128,6 @@ impl MatmulKind {
             }
             MatmulKind::BlockedScalar => matmul_blocked_scalar_into(a, b, &mut out),
             MatmulKind::Blocked => matmul_blocked_into_scratch(a, b, &mut out, ws.pack_scratch()),
-            MatmulKind::Parallel(n) => {
-                matmul_parallel_into_scratch(a, b, n, &mut out, ws.pack_scratch())
-            }
         };
         match result {
             Ok(()) => Ok(out),
@@ -293,7 +281,6 @@ fn matmul_blocked_into_scratch<T: Num>(
                 b.as_slice(),
                 scratch,
                 out.as_mut_slice(),
-                0,
                 kk,
                 n,
                 kind,
@@ -304,96 +291,6 @@ fn matmul_blocked_into_scratch<T: Num>(
             let (skipped, visited) =
                 gemm_rows(a.as_slice(), b.as_slice(), out.as_mut_slice(), kk, n);
             record_gemm("blocked", m, n, skipped, visited, None);
-        }
-    }
-    Ok(())
-}
-
-/// Multithreaded packed GEMM: operands packed once on the calling thread
-/// into caller-owned scratch, then contiguous row chunks of the output,
-/// one pool task each (on the persistent `zfgan-pool` workers).
-///
-/// `n_threads` is clamped to `[1, a.rows()]` and to the pool width; with
-/// one thread this is exactly [`matmul_blocked_into_scratch`]. The row
-/// chunking is a pure function of `(rows, n_threads)`, and the packed
-/// kernel's panels run along `k` *within* a row, so results stay
-/// bit-identical for every thread count and regardless of which pool
-/// worker runs which chunk.
-fn matmul_parallel_into_scratch<T: Num>(
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    n_threads: usize,
-    out: &mut Matrix<T>,
-    scratch: &mut PackScratch,
-) -> TensorResult<()> {
-    check_matmul_shapes(a, b, out)?;
-    let (m, kk, n) = (a.rows(), a.cols(), b.cols());
-    // Splitting wider than the pool only adds dispatch overhead (the
-    // chunks would serialize anyway), so clamp to the hardware width; on
-    // a single-core host this degrades to the blocked kernel with zero
-    // synchronisation. Results are bit-identical for every width.
-    let threads = n_threads.clamp(1, m).min(zfgan_pool::pool_threads());
-    if threads == 1 {
-        return matmul_blocked_into_scratch(a, b, out, scratch);
-    }
-    let rows_per = m.div_ceil(threads);
-    let (a_flat, b_flat) = (a.as_slice(), b.as_slice());
-    match microkernel::packed_kind::<T>() {
-        Some(kind) => {
-            // Scan A, pick the dispatch path and (for the packed engine)
-            // pack B once on the calling thread; the workers only read.
-            // One plan per GEMM means one telemetry record and an
-            // identical engine for every chunk — bit-neutral under any
-            // partition, since every engine's chains run along `k`.
-            let plan = microkernel::plan_gemm(a_flat, b_flat, m, kk, n, kind, scratch);
-            let shared: &PackScratch = scratch;
-            zfgan_pool::parallel_chunks_mut(
-                out.as_mut_slice(),
-                rows_per * n,
-                |chunk_idx, out_chunk| {
-                    microkernel::run_plan_rows(
-                        plan.path,
-                        a_flat,
-                        b_flat,
-                        shared,
-                        out_chunk,
-                        chunk_idx * rows_per,
-                        kk,
-                        n,
-                        kind,
-                    );
-                },
-            )
-            .expect("matmul worker panicked");
-            record_gemm(
-                "parallel",
-                m,
-                n,
-                plan.skipped,
-                plan.visited,
-                Some(plan.path),
-            );
-        }
-        None => {
-            // Per-chunk (skipped, visited) counts come back in chunk
-            // order; the calling thread aggregates and records them (pool
-            // workers don't see the caller's thread-local telemetry
-            // scope).
-            let counts = zfgan_pool::parallel_chunks_mut(
-                out.as_mut_slice(),
-                rows_per * n,
-                |chunk_idx, out_chunk| {
-                    let row0 = chunk_idx * rows_per;
-                    let rows_here = out_chunk.len() / n;
-                    let a_chunk = &a_flat[row0 * kk..(row0 + rows_here) * kk];
-                    gemm_rows(a_chunk, b_flat, out_chunk, kk, n)
-                },
-            )
-            .expect("matmul worker panicked");
-            let (skipped, visited) = counts
-                .iter()
-                .fold((0, 0), |(s, v), (cs, cv)| (s + cs, v + cv));
-            record_gemm("parallel", m, n, skipped, visited, None);
         }
     }
     Ok(())
@@ -593,7 +490,6 @@ pub(crate) fn matmul_inline_b_ws<T: Num>(
         b,
         ws.pack_scratch_ref(),
         out.as_mut_slice(),
-        0,
         kk,
         n,
         pkind,
@@ -608,9 +504,8 @@ pub(crate) fn matmul_inline_b_ws<T: Num>(
 ///
 /// Output element `(i, j)` is word `base + i·n + j` of the
 /// [`FaultSite::GemmAccumulator`] index space, so injection is positional:
-/// the same plan fires on the same elements for every [`MatmulKind`] and
-/// thread count, keeping campaigns bit-reproducible within a kernel
-/// family.
+/// the same plan fires on the same elements for every [`MatmulKind`],
+/// keeping campaigns bit-reproducible within a kernel family.
 ///
 /// # Errors
 ///
@@ -719,18 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_is_bit_identical_to_blocked_for_every_thread_count() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        let a = random_matrix(37, 50, 0.5, &mut rng);
-        let b = random_matrix(50, 23, 0.0, &mut rng);
-        let reference = MatmulKind::Blocked.run(&a, &b).unwrap();
-        for threads in [1, 2, 3, 5, 8, 64] {
-            let par = MatmulKind::Parallel(threads).run(&a, &b).unwrap();
-            assert_eq!(reference, par, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn f64_keeps_the_naive_bit_identity_on_every_kind() {
         let mut rng = SmallRng::seed_from_u64(15);
         let data = |len: usize, rng: &mut SmallRng| -> Vec<f64> {
@@ -739,24 +622,9 @@ mod tests {
         let a = Matrix::from_vec(13, 21, data(13 * 21, &mut rng));
         let b = Matrix::from_vec(21, 9, data(21 * 9, &mut rng));
         let naive = a.matmul(&b).unwrap();
-        for kind in [
-            MatmulKind::BlockedScalar,
-            MatmulKind::Blocked,
-            MatmulKind::Parallel(4),
-        ] {
+        for kind in [MatmulKind::BlockedScalar, MatmulKind::Blocked] {
             assert_eq!(naive, kind.run(&a, &b).unwrap(), "{kind:?}");
         }
-    }
-
-    #[test]
-    fn thread_count_zero_is_clamped() {
-        let mut rng = SmallRng::seed_from_u64(12);
-        let a = random_matrix(4, 6, 0.0, &mut rng);
-        let b = random_matrix(6, 3, 0.0, &mut rng);
-        assert_eq!(
-            MatmulKind::Blocked.run(&a, &b).unwrap(),
-            MatmulKind::Parallel(0).run(&a, &b).unwrap()
-        );
     }
 
     #[test]
@@ -765,7 +633,6 @@ mod tests {
         let b: Matrix<f32> = Matrix::zeros(2, 3);
         assert!(MatmulKind::Blocked.run(&a, &b).is_err());
         assert!(MatmulKind::BlockedScalar.run(&a, &b).is_err());
-        assert!(MatmulKind::Parallel(4).run(&a, &b).is_err());
     }
 
     #[test]
@@ -781,31 +648,12 @@ mod tests {
         )
         .unwrap();
         let mut reference_log = FaultLog::default();
-        let reference =
-            matmul_with_faults(MatmulKind::Blocked, &a, &b, &plan, 100, &mut reference_log)
-                .unwrap();
+        matmul_with_faults(MatmulKind::Blocked, &a, &b, &plan, 100, &mut reference_log).unwrap();
         assert!(reference_log.fired > 0, "plan should fire in 399 elements");
-        // Within the packed family the faulted outputs are bit-identical;
-        // across families the fault *sites* (positions) still agree.
-        for (kind, bitwise) in [
-            (MatmulKind::Parallel(4), true),
-            (MatmulKind::Naive, false),
-            (MatmulKind::BlockedScalar, false),
-        ] {
+        // Across kernel families the fault *sites* (positions) agree.
+        for kind in [MatmulKind::Naive, MatmulKind::BlockedScalar] {
             let mut log = FaultLog::default();
-            let c = matmul_with_faults(kind, &a, &b, &plan, 100, &mut log).unwrap();
-            if bitwise {
-                // Bitwise comparison: injected faults can produce NaN,
-                // which PartialEq would treat as unequal to itself.
-                assert!(
-                    reference
-                        .as_slice()
-                        .iter()
-                        .zip(c.as_slice())
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "{kind:?}"
-                );
-            }
+            matmul_with_faults(kind, &a, &b, &plan, 100, &mut log).unwrap();
             assert_eq!(log.attempts, reference_log.attempts, "{kind:?}");
             assert_eq!(log.fired, reference_log.fired, "{kind:?}");
             assert_eq!(
@@ -844,14 +692,12 @@ mod tests {
         let a = random_matrix(12, 40, 0.5, &mut rng);
         let b = random_matrix(40, 17, 0.0, &mut rng);
         let mut ws: ConvWorkspace<f32> = ConvWorkspace::new();
-        for kind in [MatmulKind::Blocked, MatmulKind::Parallel(3)] {
-            let plain = kind.run(&a, &b).unwrap();
-            // Twice: the second call runs on warm (dirty) scratch.
-            for round in 0..2 {
-                let ws_out = kind.run_ws(&a, &b, &mut ws).unwrap();
-                assert_eq!(plain, ws_out, "{kind:?} round {round}");
-                ws.give_matrix(ws_out);
-            }
+        let plain = MatmulKind::Blocked.run(&a, &b).unwrap();
+        // Twice: the second call runs on warm (dirty) scratch.
+        for round in 0..2 {
+            let ws_out = MatmulKind::Blocked.run_ws(&a, &b, &mut ws).unwrap();
+            assert_eq!(plain, ws_out, "round {round}");
+            ws.give_matrix(ws_out);
         }
     }
 }

@@ -62,12 +62,10 @@
 //! the same operation as one AVX2 `vfmadd` lane — so SIMD and no-SIMD
 //! produce **bit-identical** results by construction, and any zero term
 //! may be skipped at any granularity without changing bits
-//! (`fma(0, b, acc) = acc` exactly for finite `b`). Row partitioning for
-//! the pooled kernel therefore cannot change results either: panels run
-//! along `k`, never across rows. The retained scalar oracle
-//! (`MatmulKind::Naive` / `BlockedScalar`) differs only by the usual
-//! fused-vs-separate rounding, bounded by the standard accumulation error
-//! bound (pinned by `tests/fast_conv.rs`).
+//! (`fma(0, b, acc) = acc` exactly for finite `b`). The retained scalar
+//! oracle (`MatmulKind::Naive` / `BlockedScalar`) differs only by the
+//! usual fused-vs-separate rounding, bounded by the standard accumulation
+//! error bound (pinned by `tests/fast_conv.rs`).
 //!
 //! The Q8.8 kernel is **bit-identical** to scalar [`Fx`] semantics, not
 //! merely close: each term is widened to `i32`, rounded to nearest (ties
@@ -1612,13 +1610,13 @@ fn pack_b_i16(b: &[i16], kk: usize, n: usize, out: &mut Vec<i16>) {
 }
 
 /// One GEMM's dispatch decision plus the zero-scan statistics it was
-/// derived from — everything the caller needs to run row chunks and
+/// derived from — everything the caller needs to run the rows and
 /// record telemetry. All fields are pure functions of `A`, the shape and
 /// the forced override, so a plan is identical for every thread count and
 /// SIMD level.
 #[derive(Debug, Clone, Copy)]
 pub struct GemmPlan {
-    /// The engine every row chunk of this GEMM must run.
+    /// The engine this GEMM runs.
     pub path: GemmPath,
     /// Operand words the panel masks elide (the structural-zero
     /// statistic, reported for every path).
@@ -1646,10 +1644,9 @@ pub fn scan_gemm<T: Num>(
     }
 }
 
-/// Shared planning for the blocked/pooled drivers: scans `A`, picks the
-/// path and — only when the packed engine won — packs `B` once on the
-/// calling thread. The pool workers then run [`run_plan_rows`] over
-/// disjoint row chunks against the shared scratch.
+/// Planning for the blocked driver: scans `A`, picks the path and — only
+/// when the packed engine won — packs `B` into the scratch. Follow with
+/// [`run_plan_rows`] against the same scratch.
 pub fn plan_gemm<T: Num>(
     a: &[T],
     b: &[T],
@@ -1681,27 +1678,23 @@ pub fn plan_gemm<T: Num>(
     plan
 }
 
-/// Runs one planned GEMM's engine at the process-selected level over a
-/// contiguous row chunk. `row0` is the absolute first row of the chunk;
-/// `b` is the **unpacked** `B` (the packed path reads the panels packed
-/// into `scratch` by [`plan_gemm`] instead). Bit-neutral under any row
-/// partition: every engine's per-element chain runs along `k`, never
-/// across rows.
+/// Runs one planned GEMM's engine at the process-selected level over the
+/// rows of `out`. `b` is the **unpacked** `B` (the packed path reads the
+/// panels packed into `scratch` by [`plan_gemm`] instead).
 #[allow(clippy::too_many_arguments)]
 pub fn run_plan_rows<T: Num>(
     path: GemmPath,
     a: &[T],
     b: &[T],
     scratch: &PackScratch,
-    out_chunk: &mut [T],
-    row0: usize,
+    out: &mut [T],
     kk: usize,
     n: usize,
     kind: PackedKind,
 ) {
-    let rows_here = out_chunk.len().checked_div(n).unwrap_or(0);
+    let rows = out.len().checked_div(n).unwrap_or(0);
     let (_, wpr) = mask_geometry(kk);
-    let masks = &scratch.masks[row0 * wpr..(row0 + rows_here) * wpr];
+    let masks = &scratch.masks[..rows * wpr];
     match kind {
         PackedKind::F32 => {
             // SAFETY: `kind` proves `T == f32` (see `plan_gemm`).
@@ -1709,13 +1702,10 @@ pub fn run_plan_rows<T: Num>(
                 (
                     std::slice::from_raw_parts(a.as_ptr() as *const f32, a.len()),
                     std::slice::from_raw_parts(b.as_ptr() as *const f32, b.len()),
-                    std::slice::from_raw_parts_mut(
-                        out_chunk.as_mut_ptr() as *mut f32,
-                        out_chunk.len(),
-                    ),
+                    std::slice::from_raw_parts_mut(out.as_mut_ptr() as *mut f32, out.len()),
                 )
             };
-            let a_rows = &af[row0 * kk..(row0 + rows_here) * kk];
+            let a_rows = &af[..rows * kk];
             match path {
                 GemmPath::Packed => {
                     f32_rows(simd_level(), a_rows, masks, &scratch.bf32, of, kk, n);
@@ -1731,13 +1721,10 @@ pub fn run_plan_rows<T: Num>(
                 (
                     std::slice::from_raw_parts(a.as_ptr() as *const i16, a.len()),
                     std::slice::from_raw_parts(b.as_ptr() as *const i16, b.len()),
-                    std::slice::from_raw_parts_mut(
-                        out_chunk.as_mut_ptr() as *mut i16,
-                        out_chunk.len(),
-                    ),
+                    std::slice::from_raw_parts_mut(out.as_mut_ptr() as *mut i16, out.len()),
                 )
             };
-            let a_rows = &ai[row0 * kk..(row0 + rows_here) * kk];
+            let a_rows = &ai[..rows * kk];
             match path {
                 GemmPath::Packed => {
                     fx_rows(simd_level(), a_rows, masks, &scratch.bi16, oi, kk, n);

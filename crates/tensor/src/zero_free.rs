@@ -33,7 +33,7 @@
 //! ([`MatmulKind::Naive`]/[`MatmulKind::BlockedScalar`]), every function
 //! here is therefore **bit-identical** to its golden nest in
 //! [`crate::conv`]. Run with the packed microkernel
-//! ([`MatmulKind::Blocked`]/[`MatmulKind::Parallel`]), the f32 results
+//! ([`MatmulKind::Blocked`]), the f32 results
 //! follow the kernel's own fused accumulation order instead (still
 //! deterministic; see [`crate::microkernel`]), while `Fx` and `f64` stay
 //! bit-identical to golden. `tests/fast_conv.rs` pins both contracts over

@@ -15,11 +15,15 @@ cargo build --release
 echo "=== cargo test (every crate) ==="
 cargo test --workspace -q
 
-echo "=== pool, tensor and nn suites on four pool threads ==="
+echo "=== pooled suites on four pool threads ==="
 # The CI host may have one core, which gives the pool a single worker and
 # hides cross-worker races; a fixed budget of four threads interleaves
-# three workers plus the submitter over the pooled GEMM and conv paths.
+# three workers plus the submitter over every pooled path: the pool
+# itself, the nn gradient fan-out, the executor engine's channel groups
+# (parallel_chunks_for) and the DSE miss fan-out (parallel_map).
 ZFGAN_THREADS=4 cargo test -q -p zfgan-pool -p zfgan-tensor -p zfgan-nn
+ZFGAN_THREADS=4 cargo test -q -p zfgan-dataflow -p zfgan-dse
+ZFGAN_THREADS=4 cargo test -q --test pool --test exec_engine --test exec_zero_alloc
 
 echo "=== tensor suite under ZFGAN_NO_SIMD=1 ==="
 # The portable scalar kernels must pass the same suite as the runtime-
@@ -189,13 +193,19 @@ cargo run -q --release -p zfgan -- trace --check "$tdir/x4.json" | grep '^determ
 diff "$tdir/xd1" "$tdir/xd4"
 echo "executor trace is byte-identical across pool widths"
 
-echo "=== pooled sweep byte-identity ==="
-# The same seed must produce byte-identical sweep output no matter how
-# the persistent pool schedules the fan-out (order-preserving merge).
-ZFGAN_THREADS=4 cargo run -q --release -p zfgan -- sweep cgan > "$tdir/p1"
-ZFGAN_THREADS=2 cargo run -q --release -p zfgan -- sweep cgan > "$tdir/p2"
-diff "$tdir/p1" "$tdir/p2"
-echo "sweep output is byte-identical across pool widths"
+echo "=== pooled DSE byte-identity ==="
+# An uncached fig15 sweep computes every cell as a miss in one pool
+# batch; its canonical stream must be byte-identical whether that batch
+# runs inline or across four pool workers (order-preserving merge). The
+# four-thread run's telemetry must show pool tasks, so the gate fails if
+# the fan-out ever stops going through the pool.
+env -u ZFGAN_DSE_CACHE ZFGAN_THREADS=1 cargo run -q --release -p zfgan -- dse fig15 \
+    --out "$tdir/pool1.jsonl" > /dev/null
+env -u ZFGAN_DSE_CACHE ZFGAN_THREADS=4 cargo run -q --release -p zfgan -- dse fig15 \
+    --out "$tdir/pool4.jsonl" --telemetry > "$tdir/pool4.txt"
+diff "$tdir/pool1.jsonl" "$tdir/pool4.jsonl"
+grep -Eq '^ *pool_tasks_total +[1-9]' "$tdir/pool4.txt"
+echo "dse stream is byte-identical across pool widths"
 
 echo "=== crash-resume gate ==="
 # The deterministic crash-injection campaign: kill train children at

@@ -1,49 +1,19 @@
 //! Cross-crate pool and workspace properties: everything that runs on the
-//! persistent pool or draws scratch from a [`ConvWorkspace`] must be
-//! **bit-identical** to its sequential / allocating counterpart, and pool
-//! panics must surface as the typed errors the degradation ladder expects.
+//! persistent pool (sized by `ZFGAN_THREADS`, the one parallelism setting)
+//! or draws scratch from a [`ConvWorkspace`] must be **bit-identical** to
+//! its sequential / allocating counterpart, and pool panics must surface
+//! as typed errors.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use zfgan::nn::{Activation, ConvLayer, Direction};
+use zfgan::nn::parallel::{sequential_dis_grads, try_parallel_dis_grads_with};
+use zfgan::nn::{Activation, ConvLayer, Direction, GanPair, LayerGrads};
 use zfgan::pool::{parallel_map, PoolError};
-use zfgan::tensor::gemm::MatmulKind;
-use zfgan::tensor::im2col::Matrix;
 use zfgan::tensor::{ConvGeom, ConvWorkspace, Fmaps, Kernels};
-
-/// A random matmul shape (both operands post-ReLU sparse like real
-/// activations) plus a thread count and seed.
-fn arb_matmul() -> impl Strategy<Value = (usize, usize, usize, usize, u64)> {
-    (
-        1usize..=24,
-        1usize..=16,
-        1usize..=20,
-        1usize..=6,
-        any::<u64>(),
-    )
-}
-
-fn sparse_matrix(rows: usize, cols: usize, rng: &mut SmallRng) -> Matrix<f32> {
-    let f = Fmaps::random(1, rows, cols, 1.0, rng).map(|v| if v > 0.0 { v } else { 0.0 });
-    Matrix::from_vec(rows, cols, f.as_slice().to_vec())
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Pooled parallel GEMM equals the single-threaded packed kernel bit
-    /// for bit over random shapes and thread counts (same fused
-    /// accumulation order regardless of how rows are partitioned).
-    #[test]
-    fn pooled_matmul_is_bit_identical((m, k, n, threads, seed) in arb_matmul()) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let a = sparse_matrix(m, k, &mut rng);
-        let b = sparse_matrix(k, n, &mut rng);
-        let seq = MatmulKind::Blocked.run(&a, &b).unwrap();
-        let par = MatmulKind::Parallel(threads).run(&a, &b).unwrap();
-        prop_assert_eq!(seq, par);
-    }
 
     /// Pooled `parallel_map` preserves order and values exactly.
     #[test]
@@ -52,6 +22,40 @@ proptest! {
         let seq: Vec<u64> = xs.iter().map(|x| x.rotate_left(7) ^ 0xabcd).collect();
         let par = parallel_map(xs.len(), |i| xs[i].rotate_left(7) ^ 0xabcd).unwrap();
         prop_assert_eq!(seq, par);
+    }
+}
+
+/// Every bit of a gradient set and its scores, for exact comparison.
+fn grad_bits(grads: &[LayerGrads], real: &[f64], fake: &[f64]) -> Vec<u64> {
+    grads
+        .iter()
+        .flat_map(|g| g.weights.as_slice().iter().chain(&g.bias))
+        .map(|v| u64::from(v.to_bits()))
+        .chain(real.iter().chain(fake).map(|s| s.to_bits()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The critic's data-parallel batch gradients — every conv pass and
+    /// GEMM running inside pool tasks, one job chunk per task — equal the
+    /// sequential synchronized pass bit for bit over random batch sizes
+    /// and chunk counts.
+    #[test]
+    fn pooled_dis_grads_are_bit_identical(
+        batch in 1usize..=3,
+        chunks in 1usize..=6,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let pair = GanPair::tiny(&mut rng);
+        let reals = pair.sample_real_batch(batch, &mut rng);
+        let fakes = pair.sample_real_batch(batch, &mut rng);
+        let (g, r, f) = sequential_dis_grads(pair.discriminator(), &reals, &fakes);
+        let (gp, rp, fp) =
+            try_parallel_dis_grads_with(pair.discriminator(), &reals, &fakes, chunks).unwrap();
+        prop_assert_eq!(grad_bits(&g, &r, &f), grad_bits(&gp, &rp, &fp));
     }
 }
 
