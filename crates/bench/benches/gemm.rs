@@ -26,7 +26,7 @@ use zfgan_tensor::gemm::MatmulKind;
 use zfgan_tensor::im2col::t_conv_via_gemm;
 use zfgan_tensor::im2col::{im2col_s, weights_as_matrix_s, Matrix};
 use zfgan_tensor::microkernel::{
-    choose_path, matmul_f32_path, simd_label, simd_level, GemmPath, PackScratch,
+    choose_path, run_gemm, scan_gemm, simd_label, simd_level, GemmPath, PackScratch,
 };
 use zfgan_tensor::{t_conv, ConvBackend, ConvGeom, ConvWorkspace, Fmaps, Fx, Kernels, Num};
 use zfgan_workloads::GanSpec;
@@ -124,7 +124,8 @@ fn bench_matmul_kinds(c: &mut Criterion) {
 
 /// The shapes the dispatcher exists for (ROADMAP open item 1), each run
 /// through the packed panel path and through the engine the dispatcher
-/// actually picks, via the explicit-path entries:
+/// actually picks, via the production driver with the plan's path set
+/// explicitly ([`gemm_on_path`]):
 ///
 /// * the MNIST-GAN projection GEMM — 49×4900×128 at ~2% density whose
 ///   live columns recur at stride 49 (one pixel per source channel), so
@@ -136,7 +137,6 @@ fn bench_matmul_kinds(c: &mut Criterion) {
 ///   arithmetic → the small-`m` streaming engine.
 fn bench_dispatch_shapes(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(24);
-    let level = simd_level();
     let mut scratch = PackScratch::new();
 
     // Projection t-conv forward: row r is live only at columns ch·49 + r.
@@ -158,19 +158,7 @@ fn bench_dispatch_shapes(c: &mut Criterion) {
     let mut group = c.benchmark_group("dispatch_proj");
     for (name, path) in [("packed", GemmPath::Packed), ("ikj", GemmPath::Ikj)] {
         group.bench_function(name, |bch| {
-            bch.iter(|| {
-                matmul_f32_path(
-                    level,
-                    path,
-                    &a_proj,
-                    &b_proj,
-                    &mut out,
-                    pm,
-                    pkk,
-                    pn,
-                    &mut scratch,
-                )
-            })
+            bch.iter(|| gemm_on_path(path, &a_proj, &b_proj, &mut out, pm, pkk, pn, &mut scratch))
         });
     }
     group.finish();
@@ -198,22 +186,29 @@ fn bench_dispatch_shapes(c: &mut Criterion) {
     let mut group = c.benchmark_group("dispatch_m1");
     for (name, path) in [("packed", GemmPath::Packed), ("smallm", GemmPath::SmallM)] {
         group.bench_function(name, |bch| {
-            bch.iter(|| {
-                matmul_f32_path(
-                    level,
-                    path,
-                    &a_grad,
-                    &b_grad,
-                    &mut out,
-                    gm,
-                    gkk,
-                    gn,
-                    &mut scratch,
-                )
-            })
+            bch.iter(|| gemm_on_path(path, &a_grad, &b_grad, &mut out, gm, gkk, gn, &mut scratch))
         });
     }
     group.finish();
+}
+
+/// One f32 GEMM through the production driver at the process SIMD level,
+/// with the dispatched engine replaced by `path`: the `A` scan, the `B`
+/// pack (packed path only) and the engine, as a conv pass runs them.
+#[allow(clippy::too_many_arguments)]
+fn gemm_on_path(
+    path: GemmPath,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    kk: usize,
+    n: usize,
+    scratch: &mut PackScratch,
+) {
+    let mut plan = scan_gemm(a, m, kk, n, scratch);
+    plan.path = path;
+    run_gemm(simd_level(), plan, a, b, out, kk, n, scratch);
 }
 
 /// Golden nest vs dense zero-inserted lowering vs compact zero-free

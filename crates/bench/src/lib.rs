@@ -12,7 +12,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A simple aligned-column text table.
 #[derive(Debug, Default)]
@@ -246,7 +246,8 @@ pub fn emit<T: Serialize>(name: &str, title: &str, table: &TextTable, data: &T) 
 /// ```
 ///
 /// The global registry (not a thread-local scope) is the right sink here
-/// because [`par_map`] fans work out to worker threads.
+/// because the figure sweeps fan their cells out to `zfgan-pool` worker
+/// threads (through [`zfgan_dse::run_batch`]).
 pub fn telemetry_sidecar(name: &str) -> impl FnOnce() {
     zfgan_telemetry::set_enabled(true);
     let dir = results_dir();
@@ -258,67 +259,6 @@ pub fn telemetry_sidecar(name: &str) -> impl FnOnce() {
             println!("[wrote {}]", path.display());
         }
     }
-}
-
-/// Maps `f` over `items` on the persistent `zfgan-pool` workers and
-/// returns the results **in input order** — the deterministic merge that
-/// keeps the figure sweeps byte-identical to their sequential form.
-///
-/// Each item is computed by exactly one executor into its own slot, so the
-/// output is independent of pool scheduling. With one hardware thread (or
-/// `ZFGAN_THREADS=1`) this degenerates to a plain sequential map.
-///
-/// # Panics
-///
-/// Panics if a worker panics.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    zfgan_pool::parallel_map(items.len(), |i| f(&items[i])).expect("par_map worker panicked")
-}
-
-/// Like [`par_map`], but served through the design-space exploration
-/// engine ([`zfgan_dse::run_batch`]): the batch is deduped by canonical
-/// key, and when `ZFGAN_DSE_CACHE` names a directory every unique cell is
-/// published there in a checksummed `zfgan-store` envelope together with
-/// its deterministic telemetry section, so a rerun (or a killed sweep)
-/// serves hits instead of recomputing.
-///
-/// The output is **byte-identical** to an uncached run: every result —
-/// hit or fresh — is reconstructed from the cell's canonical JSON (the
-/// serde shim serialises floats bit-exactly) and merged in input order.
-/// Cache hit/miss/verify counters are wall-clock-class telemetry
-/// (`dse_*_total`), excluded from the deterministic sections the CI
-/// byte-diffs.
-///
-/// Any store failure (corrupt generation, truncation, foreign-version
-/// cell, unwritable directory) only ever costs recomputation; the cache
-/// can never change results or fail a sweep.
-///
-/// # Panics
-///
-/// Panics if a worker panics or a cell fails to serialise.
-pub fn par_map_cached<T, R, F>(
-    cache_name: &str,
-    items: &[T],
-    key_of: impl Fn(&T) -> String,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send + Serialize + Deserialize,
-    F: Fn(&T) -> R + Sync,
-{
-    zfgan_dse::run_batch(
-        &zfgan_dse::DseConfig::from_env(cache_name),
-        items,
-        key_of,
-        f,
-    )
-    .results
 }
 
 /// Formats a ratio with two decimals and an `x` suffix.
@@ -373,14 +313,5 @@ mod tests {
     #[test]
     fn ratio_formatting() {
         assert_eq!(fmt_x(4.3), "4.30x");
-    }
-
-    #[test]
-    fn par_map_preserves_input_order() {
-        let items: Vec<usize> = (0..37).collect();
-        let out = par_map(&items, |&i| i * 3);
-        assert_eq!(out, items.iter().map(|i| i * 3).collect::<Vec<_>>());
-        let empty: Vec<usize> = Vec::new();
-        assert!(par_map(&empty, |&i: &usize| i).is_empty());
     }
 }

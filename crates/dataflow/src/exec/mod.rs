@@ -22,7 +22,7 @@
 //!   as the *oracle*. Every access goes through bounds-checked `at()` /
 //!   `at_padded()` and every traced event through a per-cycle
 //!   `TraceSink::emit`.
-//! * [`engine`] (private; reached through the public entry points below) —
+//! * `engine` (private; reached through the public entry points below) —
 //!   the fast path: output tiles are split into *interior* tiles that run
 //!   over flat slices with precomputed row strides (no padding clip, no
 //!   bounds guards) and *edge* tiles that keep the guarded walk;

@@ -228,15 +228,6 @@ impl Checkpoint {
     pub fn discriminator(&self) -> &ConvNet {
         &self.discriminator
     }
-
-    /// Builds a checkpoint from two already-validated networks (used by
-    /// tests constructing adversarial payloads).
-    pub fn from_networks(generator: ConvNet, discriminator: ConvNet) -> Self {
-        Self {
-            generator,
-            discriminator,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! `zfgan-pool` — a persistent, lazily-initialized, process-global worker
 //! pool for the data-parallel hot paths (the executor engine's output
-//! groups, the DSE miss fan-out, `par_map`, `parallel_dis_grads`). Its
+//! groups, the DSE miss fan-out, `parallel_dis_grads`). Its
 //! width, [`pool_threads`] (`ZFGAN_THREADS`, else the hardware thread
 //! count), is the one parallelism setting in the codebase.
 //!

@@ -48,7 +48,7 @@
 use crate::error::{ShapeError, TensorResult};
 use crate::fault::{FaultLog, FaultPlan, FaultSite};
 use crate::im2col::Matrix;
-use crate::microkernel::{self, GemmPath, PackScratch, PackedKind};
+use crate::microkernel::{self, simd_level, GemmPath, PackScratch};
 use crate::num::Num;
 use crate::workspace::ConvWorkspace;
 
@@ -273,17 +273,17 @@ fn matmul_blocked_into_scratch<T: Num>(
     check_matmul_shapes(a, b, out)?;
     let (m, kk, n) = (a.rows(), a.cols(), b.cols());
     match microkernel::packed_kind::<T>() {
-        Some(kind) => {
-            let plan = microkernel::plan_gemm(a.as_slice(), b.as_slice(), m, kk, n, kind, scratch);
-            microkernel::run_plan_rows(
-                plan.path,
+        Some(_) => {
+            let plan = microkernel::scan_gemm(a.as_slice(), m, kk, n, scratch);
+            microkernel::run_gemm(
+                simd_level(),
+                plan,
                 a.as_slice(),
                 b.as_slice(),
-                scratch,
                 out.as_mut_slice(),
                 kk,
                 n,
-                kind,
+                scratch,
             );
             record_gemm("blocked", m, n, plan.skipped, plan.visited, Some(plan.path));
         }
@@ -304,8 +304,8 @@ fn matmul_blocked_into_scratch<T: Num>(
 /// The `A` scan runs **before** `B` exists: when the dispatch layer picks
 /// a broadcast path (small-`m` or ikj), `B` is never materialized — rows
 /// stream through a one-`k`-tile workspace buffer, `k` ascending, each
-/// live `(i, k)` pair applying one [`microkernel::axpy_packed`] update,
-/// and `B` rows whose `A` column is entirely zero are never even
+/// live `(i, k)` pair applying one axpy update of the shared `ikj` tile
+/// engine, and `B` rows whose `A` column is entirely zero are never even
 /// generated. That is the same per-element operation chain as every other
 /// engine (the f32 fused chain / the saturating Q8.8 chain, zero terms
 /// skipped), so the result is bit-identical to materializing `B` and
@@ -336,29 +336,26 @@ pub(crate) fn matmul_streamed_ws<T: Num>(
             n
         )));
     }
-    if let Some(pkind) = microkernel::packed_kind::<T>() {
-        if !kind.is_reference() {
-            let plan = microkernel::scan_gemm(a.as_slice(), m, kk, n, ws.pack_scratch());
-            if matches!(plan.path, GemmPath::SmallM | GemmPath::Ikj) {
-                let mut out = ws.take_matrix(m, n);
-                // One k-tile of `B` rows — or fewer when the whole operand
-                // is shorter than a tile (`kk = 1` input-grad reshapes).
-                let mut rowbuf = ws.take(microkernel::IKJ_KB.min(kk) * n);
-                broadcast_streamed(
-                    pkind,
-                    a.as_slice(),
-                    ws.pack_scratch_ref().masks(),
-                    m,
-                    kk,
-                    n,
-                    out.as_mut_slice(),
-                    &mut rowbuf,
-                    fill_row,
-                );
-                ws.give(rowbuf);
-                record_gemm("blocked", m, n, plan.skipped, plan.visited, Some(plan.path));
-                return Ok(out);
-            }
+    if microkernel::packed_kind::<T>().is_some() && !kind.is_reference() {
+        let plan = microkernel::scan_gemm(a.as_slice(), m, kk, n, ws.pack_scratch());
+        if matches!(plan.path, GemmPath::SmallM | GemmPath::Ikj) {
+            let mut out = ws.take_matrix(m, n);
+            // One k-tile of `B` rows — or fewer when the whole operand
+            // is shorter than a tile (`kk = 1` input-grad reshapes).
+            let mut rowbuf = ws.take(microkernel::IKJ_KB.min(kk) * n);
+            broadcast_streamed(
+                a.as_slice(),
+                ws.scanned_pack_scratch().masks(),
+                m,
+                kk,
+                n,
+                out.as_mut_slice(),
+                &mut rowbuf,
+                fill_row,
+            );
+            ws.give(rowbuf);
+            record_gemm("blocked", m, n, plan.skipped, plan.visited, Some(plan.path));
+            return Ok(out);
         }
     }
     // The packed path wants `B` whole (it packs it into column panels):
@@ -388,7 +385,6 @@ pub(crate) fn matmul_streamed_ws<T: Num>(
 /// docs).
 #[allow(clippy::too_many_arguments)]
 fn broadcast_streamed<T: Num>(
-    kind: PackedKind,
     a: &[T],
     masks: &[u64],
     m: usize,
@@ -432,7 +428,7 @@ fn broadcast_streamed<T: Num>(
             }
         }
         microkernel::ikj_tile_packed(
-            kind,
+            simd_level(),
             a,
             masks,
             &rowbuf[..(kend - kb) * n],
@@ -473,10 +469,7 @@ pub(crate) fn matmul_inline_b_ws<T: Num>(
             b.len()
         )));
     }
-    let Some(pkind) = microkernel::packed_kind::<T>() else {
-        return Ok(None);
-    };
-    if kind.is_reference() {
+    if microkernel::packed_kind::<T>().is_none() || kind.is_reference() {
         return Ok(None);
     }
     let plan = microkernel::scan_gemm(a.as_slice(), m, kk, n, ws.pack_scratch());
@@ -484,15 +477,15 @@ pub(crate) fn matmul_inline_b_ws<T: Num>(
         return Ok(None);
     }
     let mut out = ws.take_matrix(m, n);
-    microkernel::run_plan_rows(
-        plan.path,
+    microkernel::run_gemm(
+        simd_level(),
+        plan,
         a.as_slice(),
         b,
-        ws.pack_scratch_ref(),
         out.as_mut_slice(),
         kk,
         n,
-        pkind,
+        ws.scanned_pack_scratch(),
     );
     record_gemm("blocked", m, n, plan.skipped, plan.visited, Some(plan.path));
     Ok(Some(out))

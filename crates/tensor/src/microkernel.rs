@@ -34,25 +34,26 @@
 //! stride-49 nonzero columns) defeats the KP-panel masks because every
 //! row's few live words sit in distinct panels, and the `m = 1`
 //! input-grad GEMMs amortize a full `B` pack over a single output row.
-//! [`matmul_f32_at`] / [`matmul_fx_at`] therefore route each call through
-//! [`choose_path`] to one of three engines ([`GemmPath`]):
+//! Every GEMM therefore runs in two steps: [`scan_gemm`] builds the masks
+//! and routes the call through [`choose_path`] to one of three engines
+//! ([`GemmPath`]), then [`run_gemm`] runs that engine:
 //!
 //! * [`GemmPath::Packed`] — the packed panel kernel above (the default).
 //! * [`GemmPath::Ikj`] — a broadcast-FMA `ikj` kernel over **unpacked**
 //!   `B` rows: zero `A` words are skipped element-wise (no mask
 //!   granularity to defeat) and `B` is never packed.
-//! * [`GemmPath::SmallM`] — the same register tile as the packed kernel
-//!   run directly over unpacked `B` columns for `m ≤ `[`MR_F32`]: one
-//!   pass over `B`, no pack. The workspace lowering drivers additionally
-//!   stream `B` rows on the fly through this path
-//!   (`crate::gemm::matmul_streamed_ws`) so small-`m` sites skip the
+//! * [`GemmPath::SmallM`] — the `m = 1` route. On a materialized `B` it
+//!   runs the same `ikj` engine; the workspace lowering drivers
+//!   additionally stream `B` rows on the fly through both broadcast paths
+//!   (`crate::gemm::matmul_streamed_ws`), so small-`m` sites skip the
 //!   materialized lowering fill entirely.
 //!
 //! The decision is a pure function of `(m, kk, n, zero-word count)` — all
 //! thread- and SIMD-invariant — and `ZFGAN_FORCE_KERNEL=packed|ikj|smallm`
 //! (or [`set_forced_path`]) pins it for testing. Every engine computes the
 //! same per-element operation chain (see below), so dispatch is never a
-//! semantics choice.
+//! semantics choice: the equality tests run [`run_gemm`] with each
+//! [`GemmPlan::path`] and each [`SimdLevel`] the host supports.
 //!
 //! # Determinism
 //!
@@ -166,7 +167,7 @@ fn kernel_table() -> &'static KernelTable {
 
 /// Resolves the f32 tile kernel for a level. The process-selected level
 /// always resolves to a kernel whose feature requirements were verified
-/// by [`kernel_table`].
+/// by [`kernel_table`]; explicit levels are checked by [`assert_level`].
 fn f32_tile_for(level: SimdLevel) -> F32TileFn {
     match level {
         #[cfg(target_arch = "x86_64")]
@@ -202,6 +203,23 @@ fn detect_level() -> SimdLevel {
     SimdLevel::Scalar
 }
 
+/// Whether `level`'s kernels may run on a host whose detected level is
+/// `detected`: the scalar kernels run anywhere, the AVX2 ones only where
+/// detection found avx2 + fma.
+fn level_runs_on(level: SimdLevel, detected: SimdLevel) -> bool {
+    level == SimdLevel::Scalar || detected == SimdLevel::Avx2Fma
+}
+
+/// Rejects a level whose kernels this host cannot execute. Checked
+/// against feature detection, not [`simd_level`]: `ZFGAN_NO_SIMD=1` lowers
+/// the process level, but the AVX2 kernels stay executable (and tested).
+fn assert_level(level: SimdLevel) {
+    assert!(
+        level_runs_on(level, detect_level()),
+        "SIMD level {level:?} needs CPU features this host lacks"
+    );
+}
+
 /// The inner-kernel implementation this process selected (respecting
 /// `ZFGAN_NO_SIMD=1` and runtime feature detection), fixed for the
 /// process lifetime.
@@ -225,8 +243,8 @@ pub enum GemmPath {
     /// Broadcast-FMA `ikj` over unpacked `B` rows with an element-wise
     /// `a == 0` skip; bypasses the `B` pack entirely.
     Ikj,
-    /// The register tile run directly over unpacked `B` columns — one
-    /// streamed pass over `B`, no pack. Chosen for `m ≤ `[`MR_F32`].
+    /// The `m = 1` route: the `ikj` engine, with `B` rows streamed on
+    /// demand by the workspace lowering drivers.
     SmallM,
 }
 
@@ -360,10 +378,38 @@ pub fn packed_kind<T: 'static>() -> Option<PackedKind> {
     }
 }
 
+/// The packed kernel for `T`, for the entries that only accept `f32` and
+/// [`Fx`] operands.
+fn kind_of<T: 'static>() -> PackedKind {
+    packed_kind::<T>().expect("the packed GEMM runs f32 and Fx operands only")
+}
+
+/// Reinterprets a slice as another element type of the same layout.
+///
+/// # Safety
+///
+/// `T` and `U` must have the same size, alignment and valid bit
+/// patterns. The callers pair `T` = `f32` with `U` = `f32`, or `T` =
+/// [`Fx`] (`repr(transparent)` over `i16`) with `U` = `i16`, proven by
+/// [`kind_of`].
+unsafe fn view<T, U>(s: &[T]) -> &[U] {
+    debug_assert_eq!(std::mem::size_of::<T>(), std::mem::size_of::<U>());
+    std::slice::from_raw_parts(s.as_ptr().cast(), s.len())
+}
+
+/// [`view`] for a mutable slice.
+///
+/// # Safety
+///
+/// As for [`view`].
+unsafe fn view_mut<T, U>(s: &mut [T]) -> &mut [U] {
+    debug_assert_eq!(std::mem::size_of::<T>(), std::mem::size_of::<U>());
+    std::slice::from_raw_parts_mut(s.as_mut_ptr().cast(), s.len())
+}
+
 /// Reusable packing scratch: the packed `B` panels and the per-row `A`
 /// panel masks. Owned by a [`crate::ConvWorkspace`] on the workspace hot
-/// path (steady-state zero allocation) and by a thread-local for the
-/// allocating entry points.
+/// path, so the steady state allocates nothing.
 #[derive(Debug, Default)]
 pub struct PackScratch {
     /// Packed f32 `B` panels, `[panel][k][lane]`, tails zero-padded.
@@ -381,8 +427,8 @@ impl PackScratch {
         Self::default()
     }
 
-    /// The per-row panel masks built by the last [`scan_gemm`] /
-    /// [`plan_gemm`] call: `mask_geometry(kk).1` words per `A` row, a set
+    /// The per-row panel masks built by the last [`scan_gemm`] call:
+    /// `mask_geometry(kk).1` words per `A` row, a set
     /// bit marking an all-zero panel. The streamed-lowering driver reads
     /// these to skip dead `A` panels without touching the operand again.
     pub(crate) fn masks(&self) -> &[u64] {
@@ -433,13 +479,14 @@ pub(crate) fn mask_hit(masks_row: &[u64], panel: usize) -> bool {
 
 /// Packs `B` (`kk × n`, row-major) into `nr`-wide column panels,
 /// `[panel][k][lane]`, zero-padding the tail panel so the kernels always
-/// run full width.
-fn pack_b<T: Num, const NR: usize>(b: &[T], kk: usize, n: usize, out: &mut Vec<T>) {
+/// run full width. `T::default()` is the zero word of both packed element
+/// types (`0.0f32` and raw-`i16` Q8.8 zero).
+fn pack_b<T: Copy + Default, const NR: usize>(b: &[T], kk: usize, n: usize, out: &mut Vec<T>) {
     let n_jp = n.div_ceil(NR);
     // Resize without a clear: every full lane is overwritten below and only
     // the tail panel's padding needs explicit zeros, so the buffer is never
     // bulk-zeroed first (that pre-pass used to double the write traffic).
-    out.resize(n_jp * kk * NR, T::zero());
+    out.resize(n_jp * kk * NR, T::default());
     for jp in 0..n_jp {
         let j0 = jp * NR;
         let w = (n - j0).min(NR);
@@ -461,9 +508,7 @@ fn pack_b<T: Num, const NR: usize>(b: &[T], kk: usize, n: usize, out: &mut Vec<T
             for k in 0..kk {
                 let dst = &mut panel[k * NR..(k + 1) * NR];
                 dst[..w].copy_from_slice(&b[k * n + j0..k * n + j0 + w]);
-                for pad in &mut dst[w..] {
-                    *pad = T::zero();
-                }
+                dst[w..].fill(T::default());
             }
         }
     }
@@ -480,14 +525,12 @@ fn pack_b<T: Num, const NR: usize>(b: &[T], kk: usize, n: usize, out: &mut Vec<T
 /// `a_rows`, `masks` and the output slice all cover the same row range
 /// (`i0` is relative to it); `kc0`/`klen` select the `k`-chunk and
 /// `panel0` is the absolute mask-panel index of its first (KP-aligned)
-/// panel. `bstride` is the distance between consecutive `k` rows of
-/// `bchunk`: [`NR_F32`] for packed panels, the matrix row stride `n` when
-/// the small-`m` driver runs the tile over unpacked `B` directly.
+/// panel. `bchunk` is the chunk of one packed column panel, [`NR_F32`]
+/// words per `k` row.
 struct F32Tile<'a> {
     a_rows: &'a [f32],
     masks: &'a [u64],
     bchunk: &'a [f32],
-    bstride: usize,
     kk: usize,
     wpr: usize,
     i0: usize,
@@ -523,7 +566,7 @@ fn f32_tile_scalar(t: &F32Tile, out_rows: &mut [f32]) {
         let k0 = p * KP;
         let k1 = (k0 + KP).min(t.klen);
         for k in k0..k1 {
-            let b_row = &t.bchunk[k * t.bstride..k * t.bstride + t.w];
+            let b_row = &t.bchunk[k * NR_F32..k * NR_F32 + t.w];
             for (r, acc_r) in acc.iter_mut().enumerate().take(t.rows) {
                 let av = t.a_rows[(t.i0 + r) * t.kk + t.kc0 + k];
                 if av == 0.0 {
@@ -569,10 +612,8 @@ unsafe fn f32_tile_avx2(t: &F32Tile, out_rows: &mut [f32]) {
 ///
 /// Caller must have verified `avx2` and `fma` are available, and `R` must
 /// not exceed the tile's row count. Every `k`-step loads [`NR_F32`] `B`
-/// lanes regardless of `t.w`, so `bchunk` must have `NR_F32` readable
-/// words at each `k·bstride` (packed panels pad their tails; the
-/// small-`m` driver routes partial-width strips of unpacked `B` to the
-/// scalar tile instead).
+/// lanes regardless of `t.w`, which the zero-padded packed tail panel
+/// provides.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn f32_tile_avx2_rows<const R: usize>(t: &F32Tile, out_rows: &mut [f32]) {
@@ -609,7 +650,7 @@ unsafe fn f32_tile_avx2_rows<const R: usize>(t: &F32Tile, out_rows: &mut [f32]) 
         let k0 = p * KP;
         let k1 = (k0 + KP).min(t.klen);
         for k in k0..k1 {
-            let base = t.bchunk.as_ptr().add(k * t.bstride);
+            let base = t.bchunk.as_ptr().add(k * NR_F32);
             let b0 = _mm256_loadu_ps(base);
             let b1 = _mm256_loadu_ps(base.add(8));
             for (r, acc_r) in acc.iter_mut().enumerate() {
@@ -646,8 +687,9 @@ pub const MC: usize = 72;
 /// [`KC`] `k`-chunks → [`MC`] row blocks → column panels → [`MR_F32`]
 /// row tiles, so the packed-`B` chunk (16 KB) stays L1-resident across
 /// the row tiles and the `A` row block stays L2-resident across the
-/// column panels. Bit-identical for every [`SimdLevel`].
-pub fn f32_rows(
+/// column panels. Bit-identical for every [`SimdLevel`]; `level` must
+/// have passed [`assert_level`].
+fn f32_rows(
     level: SimdLevel,
     a_rows: &[f32],
     masks: &[u64],
@@ -679,7 +721,6 @@ pub fn f32_rows(
                         a_rows,
                         masks,
                         bchunk,
-                        bstride: NR_F32,
                         kk,
                         wpr,
                         i0,
@@ -693,9 +734,9 @@ pub fn f32_rows(
                         accumulate: kc0 > 0,
                     };
                     // SAFETY: `f32_tile_for` only returns a feature-gated
-                    // kernel for `Avx2Fma`, which is only selected (or
-                    // passed by tests) after `is_x86_feature_detected!`
-                    // verified avx2+fma.
+                    // kernel for `Avx2Fma`, and `run_gemm` rejected that
+                    // level unless `is_x86_feature_detected!` verified
+                    // avx2+fma.
                     unsafe { kernel(&tile, out_rows) };
                     i0 += rows;
                 }
@@ -703,21 +744,6 @@ pub fn f32_rows(
             ib0 = ib1;
         }
         kc0 = kc1;
-    }
-}
-
-/// f32 axpy signature: `out_row += av · b_row`, one fused multiply–add
-/// per element. `unsafe fn` for the same feature-gating reason as
-/// [`F32TileFn`].
-type F32AxpyFn = unsafe fn(f32, &[f32], &mut [f32]);
-
-fn f32_axpy_for(level: SimdLevel) -> F32AxpyFn {
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2Fma => f32_axpy_avx2,
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdLevel::Avx2Fma => f32_axpy_scalar,
-        SimdLevel::Scalar => f32_axpy_scalar,
     }
 }
 
@@ -730,102 +756,10 @@ fn f32_axpy_scalar(av: f32, b_row: &[f32], out_row: &mut [f32]) {
     }
 }
 
-/// AVX2/FMA f32 axpy: broadcast `av` once, fused multiply–add over
-/// 8-lane groups with a `mul_add` scalar tail (the identical operation
-/// per lane — see [`f32_axpy_scalar`]).
-///
-/// # Safety
-///
-/// Caller must have verified `avx2` and `fma` are available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn f32_axpy_avx2(av: f32, b_row: &[f32], out_row: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let n = out_row.len().min(b_row.len());
-    let avv = _mm256_set1_ps(av);
-    let bp = b_row.as_ptr();
-    let op = out_row.as_mut_ptr();
-    let mut j = 0;
-    while j + 8 <= n {
-        let b = _mm256_loadu_ps(bp.add(j));
-        let o = _mm256_loadu_ps(op.add(j));
-        _mm256_storeu_ps(op.add(j), _mm256_fmadd_ps(avv, b, o));
-        j += 8;
-    }
-    while j < n {
-        *op.add(j) = av.mul_add(*bp.add(j), *op.add(j));
-        j += 1;
-    }
-}
-
-/// Broadcast-FMA `ikj`-chain f32 GEMM over a contiguous row range, on
-/// **unpacked** `B` (row-major, `kk × n`). Zero the output, then walk `k`
-/// outermost: each live `A` word contributes one axpy of its `B` row —
-/// exactly the packed kernel's per-element fused chain over `k` ascending
-/// (the loop interchange reorders only *between* output elements, never
-/// within one element's chain; bit-neutral, see the module docs), with
-/// the accumulator round-tripping through `out` between `k` steps
-/// (exact). Zero words skip element-wise, and a `B` row whose `A` column
-/// is entirely zero is never read at all. `k` outermost means `B` is
-/// streamed **sequentially, exactly once** — on the stride-49 projection
-/// shape the i-outer order re-walks `B` in page-sized jumps and is
-/// memory-latency-bound instead. The `k` loop is additionally tiled by
-/// [`IKJ_KB`] (one f32 cache line) with the row loop inside the tile, so
-/// each `A` line is loaded once and serves all [`IKJ_KB`] of its `k`
-/// values instead of missing per element on large-`kk` column walks, and
-/// the per-row [`KP`]-panel masks from the dispatch scan skip dead `A`
-/// panels without touching `A` at all — on a ~2%-dense projection matrix
-/// most of `A` is never re-read after the scan. Every output element
-/// still sees its contributions over `k` ascending (tile-outer,
-/// row-middle, `k`-inner), so the interchange stays bit-neutral.
-/// Bit-identical for every [`SimdLevel`].
-pub fn f32_ikj_rows(
-    level: SimdLevel,
-    a_rows: &[f32],
-    masks: &[u64],
-    b: &[f32],
-    out_rows: &mut [f32],
-    kk: usize,
-    n: usize,
-) {
-    let m = a_rows.len().checked_div(kk).unwrap_or(0);
-    let (_, wpr) = mask_geometry(kk);
-    debug_assert_eq!(out_rows.len(), m * n);
-    debug_assert_eq!(b.len(), kk * n);
-    debug_assert_eq!(masks.len(), m * wpr);
-    out_rows.fill(0.0);
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the kernel table only selects Avx2Fma after verifying
-        // the features (see `f32_rows`); lengths were just asserted.
-        SimdLevel::Avx2Fma => unsafe {
-            f32_ikj_rows_avx2(a_rows, masks, wpr, b, out_rows, m, kk, n)
-        },
-        _ => {
-            for kb in (0..kk).step_by(IKJ_KB) {
-                let kend = (kb + IKJ_KB).min(kk);
-                f32_ikj_tile_scalar(
-                    a_rows,
-                    masks,
-                    wpr,
-                    &b[kb * n..kend * n],
-                    out_rows,
-                    m,
-                    kk,
-                    n,
-                    kb,
-                    kend,
-                );
-            }
-        }
-    }
-}
-
-/// One `k`-tile of [`f32_ikj_rows`]'s portable nest: `btile` holds rows
-/// `kb..kend` of the (possibly virtual) `B` operand, row `k` at offset
-/// `(k − kb)·n` — the streamed-lowering driver points this at its
-/// on-demand row buffer. Accumulates into `out_rows` without zeroing;
-/// callers zero once before the first tile.
+/// The portable f32 body of [`ikj_tile_packed`]: one `k`-tile over
+/// `btile`, which holds rows `kb..kend` of the (possibly virtual) `B`
+/// operand, row `k` at offset `(k − kb)·n`. Accumulates into `out_rows`
+/// without zeroing; callers zero once before the first tile.
 #[allow(clippy::too_many_arguments)]
 fn f32_ikj_tile_scalar(
     a_rows: &[f32],
@@ -861,54 +795,12 @@ fn f32_ikj_tile_scalar(
     }
 }
 
-/// `k`-tile width for the ikj kernels: 16 f32 / 32 `Fx` words — one
-/// 64-byte cache line of `A` per row per tile for f32, and a whole number
+/// `k`-tile width for the ikj kernels: 16 words — one 64-byte cache line
+/// of `A` per row per tile for f32 (half one for Q8.8), and a whole number
 /// of [`KP`]-panels so mask skips never straddle a tile. Shared with the
 /// streamed-lowering driver (`gemm::broadcast_streamed`) so its on-demand
 /// `B` row buffer covers exactly one tile.
 pub(crate) const IKJ_KB: usize = 16;
-
-/// The fused AVX2/FMA form of [`f32_ikj_rows`]'s loop nest: the axpy
-/// body inlined into the tiled `k`/`i` walk, so the hot path pays no
-/// per-live-element indirect call or slice construction. Same operations
-/// in the same order as the scalar nest — bit-identical.
-///
-/// # Safety
-///
-/// Caller must have verified `avx2` and `fma` are available, and that
-/// `a_rows.len() == m·kk`, `b.len() == kk·n`, `out_rows.len() == m·n`,
-/// `masks.len() == m·wpr` with `wpr = mask_geometry(kk).1`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn f32_ikj_rows_avx2(
-    a_rows: &[f32],
-    masks: &[u64],
-    wpr: usize,
-    b: &[f32],
-    out_rows: &mut [f32],
-    m: usize,
-    kk: usize,
-    n: usize,
-) {
-    let mut kb = 0;
-    while kb < kk {
-        let kend = (kb + IKJ_KB).min(kk);
-        f32_ikj_tile_avx2(
-            a_rows,
-            masks,
-            wpr,
-            &b[kb * n..kend * n],
-            out_rows,
-            m,
-            kk,
-            n,
-            kb,
-            kend,
-        );
-        kb = kend;
-    }
-}
 
 /// The fused AVX2/FMA form of [`f32_ikj_tile_scalar`]: one `k`-tile over
 /// `btile` (row `k` at offset `(k − kb)·n`), the axpy body inlined so the
@@ -919,7 +811,7 @@ unsafe fn f32_ikj_rows_avx2(
 /// # Safety
 ///
 /// Caller must have verified `avx2` and `fma` are available, and that
-/// `a_rows.len() == m·kk`, `btile.len() == (kend − kb)·n`,
+/// `a_rows.len() ≥ m·kk`, `btile.len() == (kend − kb)·n`,
 /// `out_rows.len() == m·n`, `masks.len() == m·wpr` with
 /// `wpr = mask_geometry(kk).1`, `kb ≤ kend ≤ kk`.
 #[cfg(target_arch = "x86_64")]
@@ -1147,8 +1039,9 @@ unsafe fn fx_row_panel_avx2(
 
 /// Packed Q8.8 GEMM over a contiguous row range (raw-`i16` views of
 /// [`Fx`] data), with the same [`KC`]-chunked row loop as [`f32_rows`].
-/// Bit-identical to scalar [`Fx`] semantics for every [`SimdLevel`].
-pub fn fx_rows(
+/// Bit-identical to scalar [`Fx`] semantics for every [`SimdLevel`];
+/// `level` must have passed [`assert_level`].
+fn fx_rows(
     level: SimdLevel,
     a_rows: &[i16],
     masks: &[u64],
@@ -1180,9 +1073,8 @@ pub fn fx_rows(
                     let a_chunk = &a_rows[i * kk + kc0..i * kk + kc1];
                     let masks_row = &masks[i * words_per_row..(i + 1) * words_per_row];
                     let out = &mut out_rows[i * n + j0..i * n + j0 + w];
-                    // SAFETY: as in `f32_rows` — feature-gated kernels are
-                    // only resolved for levels whose features were
-                    // detected.
+                    // SAFETY: as in `f32_rows` — `run_gemm` checked the
+                    // level against feature detection.
                     unsafe { kernel(a_chunk, masks_row, panel0, bchunk, out, w, kc0 > 0) };
                 }
             }
@@ -1254,54 +1146,12 @@ unsafe fn fx_axpy_avx2(av: i16, b_row: &[i16], out_row: &mut [i16]) {
     }
 }
 
-/// Broadcast `ikj`-chain Q8.8 GEMM over a contiguous row range on
-/// unpacked `B` (raw-`i16`, row-major `kk × n`): the non-packed
-/// counterpart of [`fx_rows`], serving both the [`GemmPath::Ikj`] and
-/// [`GemmPath::SmallM`] dispatch paths (byte-identity to scalar [`Fx`]
-/// semantics is the only Q8.8 contract, and every order here is the same
-/// `k`-ascending saturating chain per output element). `k` outermost
-/// streams `B` sequentially exactly once, as in [`f32_ikj_rows`], with
-/// the same [`IKJ_KB`]-tiled walk and [`KP`]-panel mask skips so dead `A`
-/// panels are never re-read after the dispatch scan; zero `A` words skip
-/// element-wise — exact, since a zero operand's term is exactly zero.
-pub fn fx_ikj_rows(
-    level: SimdLevel,
-    a_rows: &[i16],
-    masks: &[u64],
-    b: &[i16],
-    out_rows: &mut [i16],
-    kk: usize,
-    n: usize,
-) {
-    let m = a_rows.len().checked_div(kk).unwrap_or(0);
-    let (_, wpr) = mask_geometry(kk);
-    debug_assert_eq!(out_rows.len(), m * n);
-    debug_assert_eq!(b.len(), kk * n);
-    debug_assert_eq!(masks.len(), m * wpr);
-    let axpy = fx_axpy_for(level);
-    out_rows.fill(0);
-    for kb in (0..kk).step_by(IKJ_KB) {
-        let kend = (kb + IKJ_KB).min(kk);
-        fx_ikj_tile(
-            axpy,
-            a_rows,
-            masks,
-            wpr,
-            &b[kb * n..kend * n],
-            out_rows,
-            m,
-            kk,
-            n,
-            kb,
-            kend,
-        );
-    }
-}
-
-/// One `k`-tile of [`fx_ikj_rows`]'s nest over `btile` (row `k` at offset
-/// `(k − kb)·n`) — the Q8.8 counterpart of [`f32_ikj_tile_scalar`],
-/// applying the level-resolved axpy per live `A` word. Accumulates;
-/// callers zero `out_rows` once before the first tile.
+/// The Q8.8 body of [`ikj_tile_packed`] over `btile` (row `k` at offset
+/// `(k − kb)·n`) — the counterpart of [`f32_ikj_tile_scalar`], applying
+/// the level-resolved axpy per live `A` word; zero `A` words skip
+/// element-wise, which is exact because a zero operand's term is exactly
+/// zero. Accumulates; callers zero `out_rows` once before the first
+/// tile.
 #[allow(clippy::too_many_arguments)]
 fn fx_ikj_tile(
     axpy: FxAxpyFn,
@@ -1333,25 +1183,31 @@ fn fx_ikj_tile(
                     continue;
                 }
                 let b_row = &btile[(k - 1 - kb) * n..(k - kb) * n];
-                // SAFETY: feature-gated kernels are only resolved for levels
-                // whose features were detected (see `fx_rows`).
+                // SAFETY: `ikj_tile_packed` checked the level against
+                // feature detection.
                 unsafe { axpy(av, b_row, &mut out_rows[i * n..(i + 1) * n]) };
             }
         }
     }
 }
 
-/// One `k`-tile of the broadcast engines for the streamed-lowering driver
-/// in [`crate::gemm`]: `btile` is its on-demand row buffer holding rows
-/// `kb..kend` of the virtual `B` operand (row `k` at offset `(k − kb)·n`).
-/// Dispatches to the same fused/level-resolved tile kernels the in-memory
-/// ikj engines run, so streaming changes *where `B` rows come from*, never
-/// the per-element operation chain — bit-identity (f32) and byte-identity
-/// (Q8.8) with the materialized paths follow from the tile kernels being
-/// literally shared. Accumulates; zero `out` before the first tile.
+/// One `k`-tile of the broadcast `ikj` engine: `btile` holds rows
+/// `kb..kend` of the `B` operand (row `k` at offset `(k − kb)·n`) —
+/// a slice of the materialized operand for [`run_gemm`], the on-demand
+/// row buffer for the streamed-lowering driver in [`crate::gemm`]. Both
+/// drivers run this one tile loop, so streaming changes *where `B` rows
+/// come from*, never the per-element operation chain: bit-identity (f32)
+/// and byte-identity (Q8.8) between them hold by construction.
+/// Accumulates; zero `out` before the first tile.
+///
+/// # Panics
+///
+/// Panics if `T` has no packed kernel, if `level` needs CPU features this
+/// host lacks, or if the slice lengths disagree with `kk`, `n` and the
+/// tile bounds.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ikj_tile_packed<T: Num>(
-    kind: PackedKind,
+    level: SimdLevel,
     a: &[T],
     masks: &[u64],
     btile: &[T],
@@ -1361,24 +1217,25 @@ pub(crate) fn ikj_tile_packed<T: Num>(
     kb: usize,
     kend: usize,
 ) {
+    assert_level(level);
     let m = a.len().checked_div(kk).unwrap_or(0);
     let (_, wpr) = mask_geometry(kk);
-    debug_assert_eq!(masks.len(), m * wpr);
-    debug_assert_eq!(btile.len(), (kend - kb) * n);
-    debug_assert_eq!(out.len(), m * n);
-    match kind {
+    assert!(
+        kb <= kend
+            && kend <= kk
+            && masks.len() == m * wpr
+            && btile.len() == (kend - kb) * n
+            && out.len() == m * n,
+        "ikj tile operands disagree with the shape"
+    );
+    match kind_of::<T>() {
         PackedKind::F32 => {
-            // SAFETY: `kind` proves `T == f32` (see `plan_gemm`).
-            let (af, bf, of) = unsafe {
-                (
-                    std::slice::from_raw_parts(a.as_ptr() as *const f32, a.len()),
-                    std::slice::from_raw_parts(btile.as_ptr() as *const f32, btile.len()),
-                    std::slice::from_raw_parts_mut(out.as_mut_ptr() as *mut f32, out.len()),
-                )
-            };
-            match simd_level() {
+            // SAFETY: `kind_of` proves `T == f32`.
+            let (af, bf, of) = unsafe { (view(a), view(btile), view_mut(out)) };
+            match level {
                 #[cfg(target_arch = "x86_64")]
-                // SAFETY: the level is only Avx2Fma after feature detection.
+                // SAFETY: the level was checked against feature detection
+                // and the lengths asserted above.
                 SimdLevel::Avx2Fma => unsafe {
                     f32_ikj_tile_avx2(af, masks, wpr, bf, of, m, kk, n, kb, kend)
                 },
@@ -1386,16 +1243,10 @@ pub(crate) fn ikj_tile_packed<T: Num>(
             }
         }
         PackedKind::Fx => {
-            // SAFETY: `kind` proves `T == Fx`, `repr(transparent)` over i16.
-            let (ai, bi, oi) = unsafe {
-                (
-                    std::slice::from_raw_parts(a.as_ptr() as *const i16, a.len()),
-                    std::slice::from_raw_parts(btile.as_ptr() as *const i16, btile.len()),
-                    std::slice::from_raw_parts_mut(out.as_mut_ptr() as *mut i16, out.len()),
-                )
-            };
+            // SAFETY: `kind_of` proves `T == Fx`, `repr(transparent)` over i16.
+            let (ai, bi, oi) = unsafe { (view(a), view(btile), view_mut(out)) };
             fx_ikj_tile(
-                fx_axpy_for(simd_level()),
+                fx_axpy_for(level),
                 ai,
                 masks,
                 wpr,
@@ -1411,208 +1262,50 @@ pub(crate) fn ikj_tile_packed<T: Num>(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Whole-matrix drivers
-// ---------------------------------------------------------------------------
-
-/// Runs one dispatch path's f32 engine. Assumes `scratch.masks` was just
-/// built for `a`; packs `B` if (and only if) the path needs it.
-#[allow(clippy::too_many_arguments)]
-fn run_f32_path(
+/// The broadcast `ikj` engine behind [`GemmPath::Ikj`] and
+/// [`GemmPath::SmallM`] on a materialized `B` (row-major, `kk × n`): zero
+/// the output, then run [`ikj_tile_packed`] over each [`IKJ_KB`]-row tile
+/// of `B`. Each live `A` word contributes one axpy of its `B` row —
+/// exactly the packed kernel's per-element chain over `k` ascending (the
+/// loop interchange reorders only *between* output elements, never within
+/// one element's chain; bit-neutral, see the module docs), with the
+/// accumulator round-tripping through `out` between `k` steps (exact).
+/// Zero words skip element-wise, and a `B` row whose `A` column is
+/// entirely zero is never read at all. `k` outermost means `B` is
+/// streamed **sequentially, exactly once** — on the stride-49 projection
+/// shape the i-outer order re-walks `B` in page-sized jumps and is
+/// memory-latency-bound instead. Inside a tile the row loop runs outside
+/// the `k` loop, so each `A` line is loaded once and serves all
+/// [`IKJ_KB`] of its `k` values, and the per-row [`KP`]-panel masks from
+/// the dispatch scan skip dead `A` panels without touching `A` at all —
+/// on a ~2%-dense projection matrix most of `A` is never re-read after
+/// the scan.
+fn ikj_rows<T: Num>(
     level: SimdLevel,
-    path: GemmPath,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
+    a: &[T],
+    masks: &[u64],
+    b: &[T],
+    out: &mut [T],
     kk: usize,
     n: usize,
-    scratch: &mut PackScratch,
 ) {
-    match path {
-        GemmPath::Packed => {
-            pack_b::<_, NR_F32>(b, kk, n, &mut scratch.bf32);
-            f32_rows(level, a, &scratch.masks, &scratch.bf32, out, kk, n);
-        }
-        // On materialized `B` the small-`m` path shares the ikj engine (one
-        // streamed pass over `B`, no pack — the register tile re-walks `B`
-        // once per column strip and loses); SmallM stays a distinct path
-        // because the streamed driver in `crate::gemm` keys the
-        // fill-row-on-demand lowering off it.
-        GemmPath::Ikj | GemmPath::SmallM => f32_ikj_rows(level, a, &scratch.masks, b, out, kk, n),
+    out.fill(T::zero());
+    let mut kb = 0;
+    while kb < kk {
+        let kend = (kb + IKJ_KB).min(kk);
+        ikj_tile_packed(level, a, masks, &b[kb * n..kend * n], out, kk, n, kb, kend);
+        kb = kend;
     }
 }
 
-/// Dispatch-routed f32 GEMM at `level`: scans `A`, picks the engine via
-/// [`choose_path`] (or the forced override) and runs it. Returns
-/// `(skipped, visited)` operand-word counts — pure functions of `a` and
-/// the shape (thread- and SIMD-invariant).
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_f32_at(
-    level: SimdLevel,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    kk: usize,
-    n: usize,
-    scratch: &mut PackScratch,
-) -> (u64, u64) {
-    let (skipped, zeros) = build_masks(a, m, kk, &mut scratch.masks);
-    let path = dispatch_path(m, kk, n, zeros);
-    run_f32_path(level, path, a, b, out, kk, n, scratch);
-    (skipped, (m * kk) as u64)
-}
-
-/// f32 GEMM through one **explicit** dispatch path (ignores both
-/// [`choose_path`] and the forced override) — the bit-equality proptests
-/// and the shape benches pin each engine against the others through this
-/// entry. Every path is correct for every shape.
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_f32_path(
-    level: SimdLevel,
-    path: GemmPath,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    kk: usize,
-    n: usize,
-    scratch: &mut PackScratch,
-) -> (u64, u64) {
-    let (skipped, _) = build_masks(a, m, kk, &mut scratch.masks);
-    run_f32_path(level, path, a, b, out, kk, n, scratch);
-    (skipped, (m * kk) as u64)
-}
-
-/// [`matmul_f32_at`] at the process-selected [`simd_level`].
-pub fn matmul_f32(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    kk: usize,
-    n: usize,
-    scratch: &mut PackScratch,
-) -> (u64, u64) {
-    matmul_f32_at(simd_level(), a, b, out, m, kk, n, scratch)
-}
-
-/// Runs one dispatch path's Q8.8 engine (see [`run_f32_path`]). The two
-/// non-packed paths share [`fx_ikj_rows`]: byte-identity to scalar [`Fx`]
-/// semantics is the only Q8.8 contract, and both satisfy it.
-#[allow(clippy::too_many_arguments)]
-fn run_fx_path(
-    level: SimdLevel,
-    path: GemmPath,
-    a: &[i16],
-    b: &[i16],
-    out: &mut [i16],
-    kk: usize,
-    n: usize,
-    scratch: &mut PackScratch,
-) {
-    match path {
-        GemmPath::Packed => {
-            pack_b_i16(b, kk, n, &mut scratch.bi16);
-            fx_rows(level, a, &scratch.masks, &scratch.bi16, out, kk, n);
-        }
-        GemmPath::Ikj | GemmPath::SmallM => fx_ikj_rows(level, a, &scratch.masks, b, out, kk, n),
-    }
-}
-
-/// Dispatch-routed Q8.8 GEMM at `level` on raw-`i16` views. Returns
-/// `(skipped, visited)` as [`matmul_f32_at`].
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_fx_at(
-    level: SimdLevel,
-    a: &[i16],
-    b: &[i16],
-    out: &mut [i16],
-    m: usize,
-    kk: usize,
-    n: usize,
-    scratch: &mut PackScratch,
-) -> (u64, u64) {
-    let a_fx: &[Fx] = fx_view(a);
-    let (skipped, zeros) = build_masks(a_fx, m, kk, &mut scratch.masks);
-    let path = dispatch_path(m, kk, n, zeros);
-    run_fx_path(level, path, a, b, out, kk, n, scratch);
-    (skipped, (m * kk) as u64)
-}
-
-/// Q8.8 GEMM through one explicit dispatch path (see
-/// [`matmul_f32_path`]).
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_fx_path(
-    level: SimdLevel,
-    path: GemmPath,
-    a: &[i16],
-    b: &[i16],
-    out: &mut [i16],
-    m: usize,
-    kk: usize,
-    n: usize,
-    scratch: &mut PackScratch,
-) -> (u64, u64) {
-    let a_fx: &[Fx] = fx_view(a);
-    let (skipped, _) = build_masks(a_fx, m, kk, &mut scratch.masks);
-    run_fx_path(level, path, a, b, out, kk, n, scratch);
-    (skipped, (m * kk) as u64)
-}
-
-/// [`matmul_fx_at`] at the process-selected [`simd_level`].
-pub fn matmul_fx(
-    a: &[i16],
-    b: &[i16],
-    out: &mut [i16],
-    m: usize,
-    kk: usize,
-    n: usize,
-    scratch: &mut PackScratch,
-) -> (u64, u64) {
-    matmul_fx_at(simd_level(), a, b, out, m, kk, n, scratch)
-}
-
-/// Reinterprets a raw-`i16` slice as [`Fx`] (`repr(transparent)`).
-fn fx_view(raw: &[i16]) -> &[Fx] {
-    // SAFETY: `Fx` is `#[repr(transparent)]` over `i16`.
-    unsafe { std::slice::from_raw_parts(raw.as_ptr() as *const Fx, raw.len()) }
-}
-
-/// Packs a raw-`i16` `B` into [`NR_FX`]-wide panels (monomorphic helper;
-/// layout identical to the generic [`pack_b`]).
-fn pack_b_i16(b: &[i16], kk: usize, n: usize, out: &mut Vec<i16>) {
-    let n_jp = n.div_ceil(NR_FX);
-    // Same no-pre-zero strategy and full-width fast path as [`pack_b`].
-    out.resize(n_jp * kk * NR_FX, 0);
-    for jp in 0..n_jp {
-        let j0 = jp * NR_FX;
-        let w = (n - j0).min(NR_FX);
-        let panel = &mut out[jp * kk * NR_FX..(jp + 1) * kk * NR_FX];
-        if w == NR_FX {
-            for k in 0..kk {
-                let dst: &mut [i16; NR_FX] = (&mut panel[k * NR_FX..(k + 1) * NR_FX])
-                    .try_into()
-                    .expect("chunk is exactly NR_FX wide");
-                let src: &[i16; NR_FX] = b[k * n + j0..k * n + j0 + NR_FX]
-                    .try_into()
-                    .expect("chunk is exactly NR_FX wide");
-                *dst = *src;
-            }
-        } else {
-            for k in 0..kk {
-                let dst = &mut panel[k * NR_FX..(k + 1) * NR_FX];
-                dst[..w].copy_from_slice(&b[k * n + j0..k * n + j0 + w]);
-                dst[w..].fill(0);
-            }
-        }
-    }
-}
+// ---------------------------------------------------------------------------
+// The driver: scan, then run
+// ---------------------------------------------------------------------------
 
 /// One GEMM's dispatch decision plus the zero-scan statistics it was
-/// derived from — everything the caller needs to run the rows and
-/// record telemetry. All fields are pure functions of `A`, the shape and
-/// the forced override, so a plan is identical for every thread count and
+/// derived from — everything the caller needs to run the GEMM and record
+/// telemetry. All fields are pure functions of `A`, the shape and the
+/// forced override, so a plan is identical for every thread count and
 /// SIMD level.
 #[derive(Debug, Clone, Copy)]
 pub struct GemmPlan {
@@ -1628,7 +1321,7 @@ pub struct GemmPlan {
 /// Scans `A` into the scratch panel masks and picks the dispatch path —
 /// without touching `B` (the streamed lowering driver decides whether `B`
 /// needs to be materialized at all based on the returned path). Follow
-/// with [`plan_gemm`]-style packing or [`run_plan_rows`] as appropriate.
+/// with [`run_gemm`] against the same scratch.
 pub fn scan_gemm<T: Num>(
     a: &[T],
     m: usize,
@@ -1644,132 +1337,59 @@ pub fn scan_gemm<T: Num>(
     }
 }
 
-/// Planning for the blocked driver: scans `A`, picks the path and — only
-/// when the packed engine won — packs `B` into the scratch. Follow with
-/// [`run_plan_rows`] against the same scratch.
-pub fn plan_gemm<T: Num>(
-    a: &[T],
-    b: &[T],
-    m: usize,
-    kk: usize,
-    n: usize,
-    kind: PackedKind,
-    scratch: &mut PackScratch,
-) -> GemmPlan {
-    let plan = scan_gemm(a, m, kk, n, scratch);
-    if plan.path == GemmPath::Packed {
-        match kind {
-            PackedKind::F32 => {
-                // SAFETY: `kind` is only `F32` when `T == f32`
-                // (TypeId-checked by `packed_kind`).
-                let bf: &[f32] =
-                    unsafe { std::slice::from_raw_parts(b.as_ptr() as *const f32, b.len()) };
-                pack_b::<_, NR_F32>(bf, kk, n, &mut scratch.bf32);
-            }
-            PackedKind::Fx => {
-                // SAFETY: `kind` is only `Fx` when `T == Fx`
-                // (repr(transparent) over i16).
-                let bi: &[i16] =
-                    unsafe { std::slice::from_raw_parts(b.as_ptr() as *const i16, b.len()) };
-                pack_b_i16(bi, kk, n, &mut scratch.bi16);
-            }
-        }
-    }
-    plan
-}
-
-/// Runs one planned GEMM's engine at the process-selected level over the
-/// rows of `out`. `b` is the **unpacked** `B` (the packed path reads the
-/// panels packed into `scratch` by [`plan_gemm`] instead).
+/// Runs one scanned GEMM: `out = a × b` for an `m × kk` operand `a` and
+/// the **unpacked** row-major `kk × n` operand `b`, overwriting every
+/// element of the `m × n` output. `plan` and the panel masks in `scratch`
+/// come from [`scan_gemm`] on this `a`; `plan.path` picks the engine, and
+/// `B` is packed into `scratch` only for [`GemmPath::Packed`]. Production
+/// passes [`simd_level`]; the equality tests and the shape bench pass each
+/// level the host runs and set `plan.path` to the engine under test.
+///
+/// # Panics
+///
+/// Panics if `T` is not `f32` or [`Fx`], if `level` needs CPU features
+/// this host lacks, or if the operand lengths disagree with `kk`, `n` and
+/// the scanned masks.
 #[allow(clippy::too_many_arguments)]
-pub fn run_plan_rows<T: Num>(
-    path: GemmPath,
+pub fn run_gemm<T: Num>(
+    level: SimdLevel,
+    plan: GemmPlan,
     a: &[T],
     b: &[T],
-    scratch: &PackScratch,
     out: &mut [T],
     kk: usize,
     n: usize,
-    kind: PackedKind,
+    scratch: &mut PackScratch,
 ) {
-    let rows = out.len().checked_div(n).unwrap_or(0);
-    let (_, wpr) = mask_geometry(kk);
-    let masks = &scratch.masks[..rows * wpr];
-    match kind {
-        PackedKind::F32 => {
-            // SAFETY: `kind` proves `T == f32` (see `plan_gemm`).
-            let (af, bf, of) = unsafe {
-                (
-                    std::slice::from_raw_parts(a.as_ptr() as *const f32, a.len()),
-                    std::slice::from_raw_parts(b.as_ptr() as *const f32, b.len()),
-                    std::slice::from_raw_parts_mut(out.as_mut_ptr() as *mut f32, out.len()),
-                )
-            };
-            let a_rows = &af[..rows * kk];
-            match path {
-                GemmPath::Packed => {
-                    f32_rows(simd_level(), a_rows, masks, &scratch.bf32, of, kk, n);
-                }
-                GemmPath::Ikj | GemmPath::SmallM => {
-                    f32_ikj_rows(simd_level(), a_rows, masks, bf, of, kk, n);
-                }
-            }
+    assert_level(level);
+    let kind = kind_of::<T>();
+    let m = a.len().checked_div(kk).unwrap_or(0);
+    assert!(
+        a.len() == m * kk
+            && b.len() == kk * n
+            && out.len() == m * n
+            && scratch.masks.len() == m * mask_geometry(kk).1,
+        "GEMM operands disagree with the scanned {m}×{kk}×{n} shape"
+    );
+    match (plan.path, kind) {
+        (GemmPath::Packed, PackedKind::F32) => {
+            // SAFETY: `kind_of` proves `T == f32`.
+            let (af, bf, of) = unsafe { (view(a), view(b), view_mut(out)) };
+            pack_b::<f32, NR_F32>(bf, kk, n, &mut scratch.bf32);
+            f32_rows(level, af, &scratch.masks, &scratch.bf32, of, kk, n);
         }
-        PackedKind::Fx => {
-            // SAFETY: `kind` proves `T == Fx`, `repr(transparent)` over i16.
-            let (ai, bi, oi) = unsafe {
-                (
-                    std::slice::from_raw_parts(a.as_ptr() as *const i16, a.len()),
-                    std::slice::from_raw_parts(b.as_ptr() as *const i16, b.len()),
-                    std::slice::from_raw_parts_mut(out.as_mut_ptr() as *mut i16, out.len()),
-                )
-            };
-            let a_rows = &ai[..rows * kk];
-            match path {
-                GemmPath::Packed => {
-                    fx_rows(simd_level(), a_rows, masks, &scratch.bi16, oi, kk, n);
-                }
-                GemmPath::Ikj | GemmPath::SmallM => {
-                    fx_ikj_rows(simd_level(), a_rows, masks, bi, oi, kk, n);
-                }
-            }
+        (GemmPath::Packed, PackedKind::Fx) => {
+            // SAFETY: `kind_of` proves `T == Fx`, `repr(transparent)` over i16.
+            let (ai, bi, oi) = unsafe { (view(a), view(b), view_mut(out)) };
+            pack_b::<i16, NR_FX>(bi, kk, n, &mut scratch.bi16);
+            fx_rows(level, ai, &scratch.masks, &scratch.bi16, oi, kk, n);
         }
-    }
-}
-
-/// `out_row += av · b_row` with the packed family's exact per-element
-/// semantics (one fused f32 step / one saturating Q8.8 step per element)
-/// at the process-selected level — the inner update of the streamed
-/// broadcast driver in [`crate::gemm`], which runs the same `k`-ascending
-/// chain as every other engine with `B` rows produced on the fly.
-pub fn axpy_packed<T: Num>(kind: PackedKind, av: T, b_row: &[T], out_row: &mut [T]) {
-    match kind {
-        PackedKind::F32 => {
-            // SAFETY: `kind` proves `T == f32` (see `plan_gemm`).
-            let (avf, bf, of) = unsafe {
-                (
-                    std::mem::transmute_copy::<T, f32>(&av),
-                    std::slice::from_raw_parts(b_row.as_ptr() as *const f32, b_row.len()),
-                    std::slice::from_raw_parts_mut(out_row.as_mut_ptr() as *mut f32, out_row.len()),
-                )
-            };
-            let axpy = f32_axpy_for(simd_level());
-            // SAFETY: feature-gated kernels are only resolved for levels
-            // whose features were detected.
-            unsafe { axpy(avf, bf, of) };
-        }
-        PackedKind::Fx => {
-            // SAFETY: `kind` proves `T == Fx`, `repr(transparent)` over i16.
-            let (avi, bi, oi) = unsafe {
-                (
-                    std::mem::transmute_copy::<T, i16>(&av),
-                    std::slice::from_raw_parts(b_row.as_ptr() as *const i16, b_row.len()),
-                    std::slice::from_raw_parts_mut(out_row.as_mut_ptr() as *mut i16, out_row.len()),
-                )
-            };
-            let axpy = fx_axpy_for(simd_level());
-            // SAFETY: as above.
-            unsafe { axpy(avi, bi, oi) };
+        // On materialized `B` the small-`m` path shares the ikj engine (one
+        // streamed pass over `B`, no pack); SmallM stays a distinct path
+        // because the streamed driver in `crate::gemm` keys the
+        // fill-row-on-demand lowering off it.
+        (GemmPath::Ikj | GemmPath::SmallM, _) => {
+            ikj_rows(level, a, &scratch.masks, b, out, kk, n);
         }
     }
 }
@@ -1808,6 +1428,47 @@ mod tests {
         out
     }
 
+    /// `a × b` through the production driver at `level`: scan, optionally
+    /// override the dispatched path, run.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm<T: Num>(
+        level: SimdLevel,
+        path: Option<GemmPath>,
+        a: &[T],
+        b: &[T],
+        m: usize,
+        kk: usize,
+        n: usize,
+        scratch: &mut PackScratch,
+    ) -> Vec<T> {
+        let mut plan = scan_gemm(a, m, kk, n, scratch);
+        if let Some(path) = path {
+            plan.path = path;
+        }
+        let mut out = vec![T::zero(); m * n];
+        run_gemm(level, plan, a, b, &mut out, kk, n, scratch);
+        out
+    }
+
+    /// [`gemm`] on raw-`i16` Q8.8 operands, returning raw words.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_fx(
+        level: SimdLevel,
+        path: Option<GemmPath>,
+        a: &[i16],
+        b: &[i16],
+        m: usize,
+        kk: usize,
+        n: usize,
+        scratch: &mut PackScratch,
+    ) -> Vec<i16> {
+        let fx = |raw: &[i16]| raw.iter().map(|&r| Fx::from_raw(r)).collect::<Vec<_>>();
+        gemm(level, path, &fx(a), &fx(b), m, kk, n, scratch)
+            .iter()
+            .map(|v| v.raw())
+            .collect()
+    }
+
     #[test]
     fn f32_levels_are_bit_identical_and_match_the_fused_chain() {
         let mut rng = SmallRng::seed_from_u64(91);
@@ -1823,30 +1484,10 @@ mod tests {
             let b = random_f32(kk * n, 0.1, &mut rng);
             let reference = fused_reference(&a, &b, m, kk, n);
             let mut scratch = PackScratch::new();
-            let mut out_s = vec![0.0f32; m * n];
-            matmul_f32_at(
-                SimdLevel::Scalar,
-                &a,
-                &b,
-                &mut out_s,
-                m,
-                kk,
-                n,
-                &mut scratch,
-            );
+            let out_s = gemm(SimdLevel::Scalar, None, &a, &b, m, kk, n, &mut scratch);
             assert_eq!(reference, out_s, "scalar {m}x{kk}x{n}");
             if detect_level() == SimdLevel::Avx2Fma {
-                let mut out_v = vec![0.0f32; m * n];
-                matmul_f32_at(
-                    SimdLevel::Avx2Fma,
-                    &a,
-                    &b,
-                    &mut out_v,
-                    m,
-                    kk,
-                    n,
-                    &mut scratch,
-                );
+                let out_v = gemm(SimdLevel::Avx2Fma, None, &a, &b, m, kk, n, &mut scratch);
                 let same = out_s
                     .iter()
                     .zip(&out_v)
@@ -1886,8 +1527,7 @@ mod tests {
             }
             let mut scratch = PackScratch::new();
             for level in [SimdLevel::Scalar, detect_level()] {
-                let mut out = vec![0i16; m * n];
-                matmul_fx_at(level, &a, &b, &mut out, m, kk, n, &mut scratch);
+                let out = gemm_fx(level, None, &a, &b, m, kk, n, &mut scratch);
                 assert_eq!(reference, out, "{level:?} {m}x{kk}x{n}");
             }
         }
@@ -1954,8 +1594,7 @@ mod tests {
             let mut scratch = PackScratch::new();
             for path in ALL_PATHS {
                 for level in [SimdLevel::Scalar, detect_level()] {
-                    let mut out = vec![0.0f32; m * n];
-                    matmul_f32_path(level, path, &a, &b, &mut out, m, kk, n, &mut scratch);
+                    let out = gemm(level, Some(path), &a, &b, m, kk, n, &mut scratch);
                     let same = reference
                         .iter()
                         .zip(&out)
@@ -1995,12 +1634,39 @@ mod tests {
             let mut scratch = PackScratch::new();
             for path in ALL_PATHS {
                 for level in [SimdLevel::Scalar, detect_level()] {
-                    let mut out = vec![0i16; m * n];
-                    matmul_fx_path(level, path, &a, &b, &mut out, m, kk, n, &mut scratch);
+                    let out = gemm_fx(level, Some(path), &a, &b, m, kk, n, &mut scratch);
                     assert_eq!(reference, out, "{path:?} {level:?} {m}x{kk}x{n}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn levels_are_checked_against_feature_detection() {
+        assert!(level_runs_on(SimdLevel::Scalar, SimdLevel::Scalar));
+        assert!(level_runs_on(SimdLevel::Scalar, SimdLevel::Avx2Fma));
+        assert!(level_runs_on(SimdLevel::Avx2Fma, SimdLevel::Avx2Fma));
+        assert!(
+            !level_runs_on(SimdLevel::Avx2Fma, SimdLevel::Scalar),
+            "AVX2 kernels must be refused on a host without avx2+fma"
+        );
+        // The detected and process levels always pass (`ZFGAN_NO_SIMD`
+        // only ever lowers the process level below the detected one).
+        for level in [SimdLevel::Scalar, detect_level(), simd_level()] {
+            assert_level(level);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree with the scanned")]
+    fn run_gemm_rejects_operands_that_disagree_with_the_shape() {
+        let a = [1.0f32; 6];
+        let b = [1.0f32; 6];
+        let mut scratch = PackScratch::new();
+        let plan = scan_gemm(&a, 2, 3, 2, &mut scratch);
+        // `out` is one element short of 2×2.
+        let mut out = [0.0f32; 3];
+        run_gemm(simd_level(), plan, &a, &b, &mut out, 3, 2, &mut scratch);
     }
 
     #[test]

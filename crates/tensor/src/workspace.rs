@@ -87,11 +87,11 @@ impl<T> ConvWorkspace<T> {
         &mut self.pack
     }
 
-    /// Read-only view of the scratch as the last [`Self::pack_scratch`]
-    /// caller left it — no allocating-baseline reset, so the `A` masks a
-    /// just-run scan built stay readable even with reuse off.
-    pub(crate) fn pack_scratch_ref(&self) -> &PackScratch {
-        &self.pack
+    /// The scratch as the last [`Self::pack_scratch`] caller left it — no
+    /// allocating-baseline reset, so the `A` masks a just-run scan built
+    /// survive into the run half of the GEMM even with reuse off.
+    pub(crate) fn scanned_pack_scratch(&mut self) -> &mut PackScratch {
+        &mut self.pack
     }
 
     /// Whether buffers are recycled (the default) or freshly allocated per

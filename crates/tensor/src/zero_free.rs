@@ -31,8 +31,8 @@
 //! loop nests, with only exact-zero terms (which cannot change a finite
 //! accumulation) skipped. Run with a scalar GEMM
 //! ([`MatmulKind::Naive`]/[`MatmulKind::BlockedScalar`]), every function
-//! here is therefore **bit-identical** to its golden nest in
-//! [`crate::conv`]. Run with the packed microkernel
+//! here is therefore **bit-identical** to its golden nest
+//! ([`crate::s_conv`], [`crate::t_conv`] and their gradients). Run with the packed microkernel
 //! ([`MatmulKind::Blocked`]), the f32 results
 //! follow the kernel's own fused accumulation order instead (still
 //! deterministic; see [`crate::microkernel`]), while `Fx` and `f64` stay
@@ -388,7 +388,7 @@ pub fn t_conv_zero_free_ws<T: Num>(
 /// error pass of an S-CONV layer needs the original input size back).
 /// Every transient (phase patch and weight matrices, GEMM products,
 /// output maps) comes from the workspace, and the phase decomposition is
-/// memoized through its [`PhaseCache`].
+/// memoized through its phase cache.
 ///
 /// # Errors
 ///

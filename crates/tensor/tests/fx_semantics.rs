@@ -4,14 +4,39 @@
 //! with ties toward +∞ at the ±0.5-LSB boundary, and the *per-step*
 //! saturating accumulate (a widened i32 product, narrowed and clamped
 //! after every multiply-add, never a wide running sum) — and the final
-//! property checks that the packed kernel reproduces exactly that chain
-//! at every SIMD level.
+//! properties check that the production GEMM driver
+//! ([`scan_gemm`] → [`run_gemm`]) reproduces exactly that chain on every
+//! engine at every SIMD level.
 
 use proptest::prelude::*;
 use zfgan_tensor::microkernel::{
-    matmul_fx_at, matmul_fx_path, simd_level, GemmPath, PackScratch, SimdLevel,
+    run_gemm, scan_gemm, simd_level, GemmPath, PackScratch, SimdLevel,
 };
 use zfgan_tensor::{Fx, FRAC_BITS};
+
+/// The Q8.8 GEMM `a × b` on raw words through the production driver at
+/// `level`, on `path` when given (else on the dispatched engine).
+#[allow(clippy::too_many_arguments)]
+fn gemm_raw(
+    level: SimdLevel,
+    path: Option<GemmPath>,
+    a: &[i16],
+    b: &[i16],
+    m: usize,
+    kk: usize,
+    n: usize,
+    scratch: &mut PackScratch,
+) -> Vec<i16> {
+    let fx = |raw: &[i16]| raw.iter().map(|&r| Fx::from_raw(r)).collect::<Vec<_>>();
+    let (a, b) = (fx(a), fx(b));
+    let mut plan = scan_gemm(&a, m, kk, n, scratch);
+    if let Some(path) = path {
+        plan.path = path;
+    }
+    let mut out = vec![Fx::ZERO; m * n];
+    run_gemm(level, plan, &a, &b, &mut out, kk, n, scratch);
+    out.iter().map(|v| v.raw()).collect()
+}
 
 /// The scalar reference for one multiply: widen to i32, add the rounding
 /// half, arithmetic-shift (floor), then clamp to the i16 rails.
@@ -145,8 +170,7 @@ proptest! {
 
         let mut scratch = PackScratch::new();
         for level in [simd_level(), SimdLevel::Scalar] {
-            let mut out = vec![0i16; m * n];
-            matmul_fx_at(level, &a, &b, &mut out, m, kk, n, &mut scratch);
+            let out = gemm_raw(level, None, &a, &b, m, kk, n, &mut scratch);
             prop_assert_eq!(&out, &expect, "level {:?} broke the Q8.8 chain", level);
         }
     }
@@ -191,8 +215,7 @@ proptest! {
         let mut scratch = PackScratch::new();
         for level in [simd_level(), SimdLevel::Scalar] {
             for path in [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM] {
-                let mut out = vec![0i16; m * n];
-                matmul_fx_path(level, path, &a, &b, &mut out, m, kk, n, &mut scratch);
+                let out = gemm_raw(level, Some(path), &a, &b, m, kk, n, &mut scratch);
                 prop_assert_eq!(
                     &out, &expect,
                     "path {:?} at {:?} broke the Q8.8 chain", path, level

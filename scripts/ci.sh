@@ -9,6 +9,11 @@ cargo fmt --all --check
 echo "=== cargo clippy (deny warnings) ==="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "=== cargo doc (deny warnings) ==="
+# Broken or private intra-doc links fail the gate, so a deleted item
+# cannot leave a dangling reference behind in the docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "=== cargo build --release ==="
 cargo build --release
 

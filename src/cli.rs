@@ -14,16 +14,10 @@ use std::sync::Arc;
 
 use crate::accel::{datasheet, AccelConfig, GanAccelerator, MemoryAnalysis};
 use crate::crashtest;
-use crate::dataflow::{exec, Nlr, Ost, Wst, Zfost, Zfwst};
 use crate::faults::{self, CampaignConfig};
-use crate::sim::trace::TraceBuffer;
-use crate::sim::{ConvKind, ConvShape};
 use crate::telemetry::{export, Registry};
-use crate::tensor::{ConvGeom, Fmaps, Kernels};
 use crate::train::{CrashPhase, CrashSpec, TrainArgs};
 use crate::workloads::GanSpec;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use serde_json::Value;
 
 /// Executes one CLI invocation and returns the text to print.
@@ -392,67 +386,15 @@ fn with_telemetry(
     Ok(out)
 }
 
-/// The executor phase every `trace` run uses: the scaled-down DCGAN layer
-/// (6×6 → 12×12, 4×4 kernel, stride 2) shared with the fault campaigns.
-fn trace_phase(kind: ConvKind) -> Result<ConvShape, String> {
-    let geom = ConvGeom::down(12, 12, 4, 4, 2, 6, 6).map_err(|e| e.to_string())?;
-    Ok(ConvShape::new(kind, geom, 5, 3, 12, 12))
-}
-
-/// Runs one architecture's cycle-accurate executor with event tracing and
-/// returns its trace buffer. `seed` fixes the operand data.
-fn trace_one(arch: &str, seed: u64, capacity: usize) -> Result<TraceBuffer, String> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let x: Fmaps<f64> = Fmaps::random(3, 12, 12, 1.0, &mut rng);
-    let small_x: Fmaps<f64> = Fmaps::random(5, 6, 6, 1.0, &mut rng);
-    let k: Kernels<f64> = Kernels::random(5, 3, 4, 4, 1.0, &mut rng);
-    let err = |e: crate::tensor::ShapeError| e.to_string();
-    match arch {
-        "nlr" => {
-            let p = trace_phase(ConvKind::S)?;
-            Ok(
-                exec::nlr_s_conv_traced(&Nlr::new(3, 5), &p, &x, &k, capacity)
-                    .map_err(err)?
-                    .1,
-            )
-        }
-        "wst" => {
-            let p = trace_phase(ConvKind::S)?;
-            Ok(
-                exec::wst_s_conv_traced(&Wst::new(4, 4, 2), &p, &x, &k, capacity)
-                    .map_err(err)?
-                    .1,
-            )
-        }
-        "ost" => {
-            let p = trace_phase(ConvKind::T)?;
-            Ok(
-                exec::ost_t_conv_traced(&Ost::new(4, 4, 2), &p, &small_x, &k, capacity)
-                    .map_err(err)?
-                    .1,
-            )
-        }
-        "zfost" => {
-            let p = trace_phase(ConvKind::T)?;
-            Ok(
-                exec::zfost_t_conv_traced(&Zfost::new(4, 4, 2), &p, &small_x, &k, capacity)
-                    .map_err(err)?
-                    .1,
-            )
-        }
-        "zfwst" => {
-            let p = trace_phase(ConvKind::T)?;
-            Ok(
-                exec::zfwst_t_conv_traced(&Zfwst::new(2, 2, 2), &p, &small_x, &k, capacity)
-                    .map_err(err)?
-                    .1,
-            )
-        }
-        other => Err(format!(
-            "--arch '{other}' unknown (expected one of: nlr, wst, ost, zfost, zfwst, all)"
-        )),
-    }
-}
+/// The executor behind each `trace` track, one per architecture (the
+/// track is named after the architecture).
+const TRACE_TRACKS: [&str; 5] = [
+    "nlr/s_conv",
+    "wst/s_conv",
+    "ost/t_conv",
+    "zfost/t_conv",
+    "zfwst/t_conv",
+];
 
 /// `zfgan trace`: run the traced executors under a scoped registry and
 /// export one Chrome-trace JSON with a cycle-domain track per
@@ -466,27 +408,24 @@ fn trace_cmd(flags: &Flags<'_>) -> Result<String, String> {
     if capacity == 0 {
         return Err("--capacity must be non-zero".to_string());
     }
-    let arch = flag_str(flags, "--arch").unwrap_or("all");
-    let selected: Vec<&str> = if arch == "all" {
-        vec!["nlr", "wst", "ost", "zfost", "zfwst"]
-    } else {
-        vec![arch]
-    };
+    let arch = flag_str(flags, "--arch");
+    let selected = crate::report::selected_executors(arch)?;
 
     let reg = Arc::new(Registry::new());
     let mut tracks: Vec<(String, Vec<(u64, String)>)> = Vec::new();
     let mut out = format!("trace: seed {seed}, capacity {capacity}/arch\n");
     {
         let _guard = crate::telemetry::scope(Arc::clone(&reg));
-        for name in &selected {
-            let buf = trace_one(name, seed, capacity)?;
+        for executor in TRACE_TRACKS.iter().filter(|e| selected.contains(e)) {
+            let name = executor.split('/').next().unwrap_or(executor);
+            let (_, buf, _) = crate::report::run_executor(executor, seed, capacity, false)?;
             out.push_str(&format!(
                 "  {name:<6} {} events retained, {} evicted\n",
                 buf.len(),
                 buf.evicted()
             ));
             tracks.push((
-                (*name).to_string(),
+                name.to_string(),
                 buf.iter().map(|(c, e)| (c, e.to_string())).collect(),
             ));
         }
@@ -902,6 +841,22 @@ mod tests {
         assert!(out.contains("zfost/t_conv"), "{out}");
         let again = run(&args(&["report", "--arch", "zfost"])).unwrap();
         assert_eq!(out, again, "same-seed reports must be byte-identical");
+    }
+
+    #[test]
+    fn trace_runs_one_report_executor_per_architecture() {
+        let all = crate::report::selected_executors(None).unwrap();
+        for executor in TRACE_TRACKS {
+            assert!(
+                all.contains(&executor),
+                "{executor} is not a report executor"
+            );
+        }
+        let out = run(&args(&["trace", "--arch", "zfost"])).unwrap();
+        assert!(out.contains("  zfost  "), "{out}");
+        assert!(!out.contains("  nlr  "), "{out}");
+        let err = run(&args(&["trace", "--arch", "systolic"])).unwrap_err();
+        assert!(err.contains("--arch 'systolic' unknown"), "{err}");
     }
 
     #[test]

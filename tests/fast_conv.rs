@@ -202,8 +202,10 @@ proptest! {
 
     /// The three dispatch engines (packed panel, broadcast-FMA `ikj`,
     /// small-`m` streaming) all compute one k-ascending fused chain per
-    /// output element, so forcing any engine at any SIMD level must
-    /// reproduce the dispatched result *bit for bit* — including the
+    /// output element, so running any engine at any SIMD level through
+    /// the production driver (`scan_gemm` → `run_gemm` with the plan's
+    /// path overridden) must reproduce the dispatched result *bit for
+    /// bit* — including the
     /// degenerate shapes the dispatcher exists for (`m = 1`, all-zero
     /// rows, `n` below one register tile).
     #[test]
@@ -216,7 +218,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         use zfgan::tensor::microkernel::{
-            matmul_f32_at, matmul_f32_path, simd_level, GemmPath, PackScratch, SimdLevel,
+            run_gemm, scan_gemm, simd_level, GemmPath, PackScratch, SimdLevel,
         };
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut a: Vec<f32> = (0..m * kk)
@@ -235,13 +237,16 @@ proptest! {
         let b: Vec<f32> = (0..kk * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
 
         let mut scratch = PackScratch::new();
+        let dispatch = scan_gemm(&a, m, kk, n, &mut scratch);
         let mut dispatched = vec![0.0f32; m * n];
-        matmul_f32_at(simd_level(), &a, &b, &mut dispatched, m, kk, n, &mut scratch);
+        run_gemm(simd_level(), dispatch, &a, &b, &mut dispatched, kk, n, &mut scratch);
         let want: Vec<u32> = dispatched.iter().map(|v| v.to_bits()).collect();
         for level in [simd_level(), SimdLevel::Scalar] {
             for path in [GemmPath::Packed, GemmPath::Ikj, GemmPath::SmallM] {
+                let mut plan = scan_gemm(&a, m, kk, n, &mut scratch);
+                plan.path = path;
                 let mut out = vec![0.0f32; m * n];
-                matmul_f32_path(level, path, &a, &b, &mut out, m, kk, n, &mut scratch);
+                run_gemm(level, plan, &a, &b, &mut out, kk, n, &mut scratch);
                 let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
                 prop_assert_eq!(&want, &got, "path {:?} at {:?} diverged bitwise", path, level);
             }
@@ -255,8 +260,10 @@ proptest! {
 /// classic phase lowering. Pins the collapsed path bit-identical to the
 /// classic one for both element families — including a padded geometry
 /// whose scatter crops boundary taps — and every Fx backend to golden
-/// exactly. The scalar-reference backend must keep the specification cost
-/// model, so it lands on the classic route too (checked against golden).
+/// exactly, on a recycling workspace and on the allocating baseline
+/// (reuse off, which hands every GEMM fresh pack scratch). The
+/// scalar-reference backend must keep the specification cost model, so it
+/// lands on the classic route too (checked against golden).
 #[test]
 fn one_by_one_t_conv_collapses_bit_identically() {
     use zfgan::tensor::ConvWorkspace;
@@ -276,10 +283,12 @@ fn one_by_one_t_conv_collapses_bit_identically() {
             let zq = z.map(Fx::from_f32);
             let kq = k.map(Fx::from_f32);
             let golden_fx = ConvBackend::GoldenDirect.t_conv(&zq, &kq, g).unwrap();
-            for b in PACKED {
+            for (b, reuse) in PACKED.into_iter().flat_map(|b| [(b, true), (b, false)]) {
                 let classic = b.t_conv(&z, &k, g).unwrap();
                 let mut ws = ConvWorkspace::new();
                 let mut ws_fx = ConvWorkspace::new();
+                ws.set_reuse(reuse);
+                ws_fx.set_reuse(reuse);
                 // Twice: once cold, once with a warm workspace.
                 for round in 0..2 {
                     let fast = b.t_conv_ws(&z, &k, g, &mut ws).unwrap();
@@ -287,14 +296,14 @@ fn one_by_one_t_conv_collapses_bit_identically() {
                         classic.as_slice(),
                         fast.as_slice(),
                         "collapsed 1×1 f32 T-CONV diverged from classic \
-                         ({b:?}, round {round})"
+                         ({b:?}, reuse {reuse}, round {round})"
                     );
                     let fast_fx = b.t_conv_ws(&zq, &kq, g, &mut ws_fx).unwrap();
                     assert_eq!(
                         golden_fx.as_slice(),
                         fast_fx.as_slice(),
                         "collapsed 1×1 Fx T-CONV diverged from golden \
-                         ({b:?}, round {round})"
+                         ({b:?}, reuse {reuse}, round {round})"
                     );
                     ws.give_fmaps(fast);
                     ws_fx.give_fmaps(fast_fx);
